@@ -12,18 +12,10 @@
 //     with per-worker cloned managers (CampaignConfig.Isolate) — and
 //     compared on wall-clock throughput and peak heap.
 //
-// A second suite, -mode sched, compares propagation paths and dispatch
-// orders on one campaign — the full-gate-scan reference under raw index
-// order (the seed baseline) against the cone-restricted worklist under
-// index, cone-cluster, and level order — and reports the throughput
-// ratios, the gates-visited/skipped footprints, and whether every
-// configuration produced bit-identical records (BENCH_sched.json).
-//
 // Usage:
 //
 //	bddbench                              # defaults: c1908s, 4 workers
 //	bddbench -circuit c1355s -workers 8 -max 120 -out BENCH_bdd.json
-//	bddbench -mode sched -circuit c1908s -workers 4 -max 120 -out BENCH_sched.json
 package main
 
 import (
@@ -80,20 +72,9 @@ func main() {
 		circuit = flag.String("circuit", "c1908s", "benchmark circuit name")
 		workers = flag.Int("workers", 4, "campaign worker count")
 		maxF    = flag.Int("max", 80, "cap on the stuck-at fault set (0 = all)")
-		mode    = flag.String("mode", "bdd", "benchmark suite: bdd (backend + shared-vs-isolated campaign) or sched (propagation path and dispatch-order comparison)")
-		reps    = flag.Int("reps", 3, "repetitions per configuration in -mode sched (best wall clock wins)")
 		out     = flag.String("out", "BENCH_bdd.json", "output JSON path (- for stdout)")
 	)
 	flag.Parse()
-
-	switch *mode {
-	case "sched":
-		schedMain(*circuit, *workers, *maxF, *reps, *out)
-		return
-	case "bdd":
-	default:
-		fatal(fmt.Errorf("unknown -mode %q (want bdd or sched)", *mode))
-	}
 
 	rep := report{
 		Circuit:   *circuit,
@@ -112,8 +93,8 @@ func main() {
 
 	// Isolated first, then shared, each from a collected heap baseline:
 	// run order must not let one mode's garbage inflate the other's peak.
-	rep.Isolated, _ = campaignBench(c, fs, *workers, true)
-	rep.Shared, _ = campaignBench(c, fs, *workers, false)
+	rep.Isolated = campaignBench(c, fs, *workers, true)
+	rep.Shared = campaignBench(c, fs, *workers, false)
 	if rep.Shared.WallMs > 0 {
 		rep.SpeedupShared = rep.Isolated.WallMs / rep.Shared.WallMs
 	}
@@ -209,7 +190,7 @@ func microBench() micro {
 // the node chunks and caches directly). The heap is garbage-collected to
 // a common baseline first so one mode's leftovers cannot inflate the
 // other's peak.
-func campaignBench(c *netlist.Circuit, fs []faults.StuckAt, workers int, isolate bool) (campRun, analysis.CampaignStats) {
+func campaignBench(c *netlist.Circuit, fs []faults.StuckAt, workers int, isolate bool) campRun {
 	runtime.GC()
 	var peak atomic.Uint64
 	stopSampler := make(chan struct{})
@@ -254,7 +235,7 @@ func campaignBench(c *netlist.Circuit, fs []faults.StuckAt, workers int, isolate
 	if wall > 0 {
 		run.FaultsPerSec = float64(len(fs)) / wall.Seconds()
 	}
-	return run, st
+	return run
 }
 
 func fatal(err error) {

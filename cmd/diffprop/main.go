@@ -70,8 +70,6 @@ func main() {
 		summary    = flag.Bool("summary", false, "print aggregates only")
 		dotOut     = flag.String("dot", "", "write the first analyzed fault's complete-test-set BDD as Graphviz DOT to this file")
 		workers    = flag.Int("workers", 1, "parallel analysis workers (0 = one per CPU)")
-		order      = flag.String("order", "index", "fault dispatch order: index (raw), cone (cluster by dominating output cone), level (by topological depth); results are bit-identical under any policy")
-		fullScan   = flag.Bool("fullscan", false, "use the full-gate-scan propagation reference instead of the cone-restricted worklist (differential-testing baseline; results are bit-identical)")
 		verbose    = flag.Bool("v", false, "stream progress and campaign runtime stats to stderr")
 		budget     = flag.Int64("budget", 0, "per-fault BDD operation budget (0 = unlimited); blown faults degrade to simulation estimates")
 		timeout    = flag.Duration("timeout", 0, "per-fault wall-clock budget (0 = unlimited)")
@@ -128,10 +126,6 @@ func main() {
 	chaosCfg, err := chaos.Parse(*chaosSpec)
 	if err != nil {
 		fatal(fmt.Errorf("-chaos: %w", err))
-	}
-	orderPolicy, err := analysis.ParseOrderPolicy(*order)
-	if err != nil {
-		fatal(fmt.Errorf("-order: %w", err))
 	}
 
 	o := setupObs("diffprop", *httpAddr, *logLevel, *logJSON, *tracePath, *traceFmt, *flightPath)
@@ -200,8 +194,6 @@ func main() {
 		Obs:             o,
 		Chaos:           chaosCfg,
 		Calibrate:       analysis.Calibration{Enabled: *calibrate},
-		Order:           orderPolicy,
-		FullScan:        *fullScan,
 	}
 	if *verbose {
 		ccfg.Progress = func(done, total int) {
@@ -243,8 +235,8 @@ func main() {
 			flags: workerFlagSet{
 				circuit: *circuit, bench: *bench, model: *model,
 				max: *max, maxBFs: *maxBFs, theta: *theta, seed: *seed,
-				workers: *workers, order: *order, fullScan: *fullScan,
-				budget: *budget, timeout: *timeout, nodeLimit: *nodeLimit,
+				workers: *workers,
+				budget:  *budget, timeout: *timeout, nodeLimit: *nodeLimit,
 				gcAuto: *gcAuto, retryMult: *retryMult, memLimit: *memLimit,
 				estVectors: *estVectors, calibrate: *calibrate,
 				chaosSpec: *chaosSpec, logLevel: *logLevel, logJSON: *logJSON,

@@ -41,8 +41,6 @@ type workerFlagSet struct {
 	theta          float64
 	seed           int64
 	workers        int
-	order          string
-	fullScan       bool
 	budget         int64
 	timeout        time.Duration
 	nodeLimit      int
@@ -107,7 +105,6 @@ func (s *supervisorMode) workerArgs(sh supervise.Shard) []string {
 		"-theta", strconv.FormatFloat(f.theta, 'g', -1, 64),
 		"-seed", strconv.FormatInt(f.seed, 10),
 		"-workers", strconv.Itoa(workers),
-		"-order", f.order,
 		"-budget", strconv.FormatInt(f.budget, 10),
 		"-timeout", f.timeout.String(),
 		"-nodelimit", strconv.Itoa(nodeLimit),
@@ -119,9 +116,6 @@ func (s *supervisorMode) workerArgs(sh supervise.Shard) []string {
 	}
 	if f.bench != "" {
 		args = append(args, "-bench", f.bench)
-	}
-	if f.fullScan {
-		args = append(args, "-fullscan")
 	}
 	if f.gcAuto {
 		args = append(args, "-gcauto")

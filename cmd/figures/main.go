@@ -46,8 +46,6 @@ func main() {
 		bins       = flag.Int("bins", 0, "override the histogram bin count")
 		circuits   = flag.String("circuits", "", "comma-separated circuit list for the trend figures")
 		workers    = flag.Int("workers", 0, "parallel analysis workers per campaign (0 = one per CPU)")
-		order      = flag.String("order", "index", "fault dispatch order per campaign: index, cone, level (results are bit-identical under any policy)")
-		fullScan   = flag.Bool("fullscan", false, "use the full-gate-scan propagation reference instead of the cone-restricted worklist (bit-identical differential baseline)")
 		verbose    = flag.Bool("v", false, "stream per-campaign progress and runtime stats to stderr")
 		budget     = flag.Int64("budget", 0, "per-fault BDD operation budget (0 = unlimited); blown faults degrade to simulation estimates")
 		timeout    = flag.Duration("timeout", 0, "per-fault wall-clock budget (0 = unlimited)")
@@ -106,11 +104,6 @@ func main() {
 	}
 	cfg.MemLimit = mem
 	cfg.Calibrate = analysis.Calibration{Enabled: *calibrate}
-	cfg.Order, err = analysis.ParseOrderPolicy(*order)
-	if err != nil {
-		fatal(fmt.Errorf("-order: %w", err))
-	}
-	cfg.FullScan = *fullScan
 	var cleanupShards = func() {}
 	if *shards > 0 {
 		if *workerBin == "" {

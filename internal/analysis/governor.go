@@ -106,6 +106,10 @@ func newGovernor(cfg CampaignConfig, workers int, instr *campaignInstr) *governo
 		g.sample = heapSample
 	}
 	g.cond = sync.NewCond(&g.mu)
+	// Sample once before any worker starts: a campaign launched already
+	// over the ceiling must park from the first claim, not from whichever
+	// claim happens to follow the first tick.
+	g.observe(g.sample())
 	go g.monitor()
 	return g
 }
@@ -121,19 +125,24 @@ func (g *governor) monitor() {
 			return
 		case <-ticker.C:
 		}
-		heap := g.sample()
-		g.mu.Lock()
-		g.lastHeap = heap
-		switch {
-		case !g.pressured && heap >= g.hi:
-			g.pressured = true
-		case g.pressured && heap <= g.lo:
-			g.pressured = false
-			g.cond.Broadcast()
-		}
-		g.mu.Unlock()
-		g.instr.governorHeap(heap)
+		g.observe(g.sample())
 	}
+}
+
+// observe folds one heap sample into the pressure state, waking parked
+// workers once the heap has receded under the low watermark.
+func (g *governor) observe(heap int64) {
+	g.mu.Lock()
+	g.lastHeap = heap
+	switch {
+	case !g.pressured && heap >= g.hi:
+		g.pressured = true
+	case g.pressured && heap <= g.lo:
+		g.pressured = false
+		g.cond.Broadcast()
+	}
+	g.mu.Unlock()
+	g.instr.governorHeap(heap)
 }
 
 // admit gates one worker between faults. Worker 0 passes straight through

@@ -105,9 +105,10 @@ func TestLadderRescuesTightBudgetC1908(t *testing.T) {
 // TestSerialParallelEquivalentWithLadderActive drives GC, sifting and the
 // relaxed retry on every fault (a 1-op budget aborts each first attempt;
 // the huge multiplier makes every retry succeed) and requires serial and
-// parallel campaigns to produce identical, fully exact studies. Runs under
-// -race in CI, covering the satellite's "serial==parallel with GC+sift
-// active" clause.
+// parallel campaigns to produce identical, fully exact studies. With a
+// retry too tight to rescue anything, the mix of exact and degraded
+// records must still not depend on the worker count. Runs under -race in
+// CI.
 func TestSerialParallelEquivalentWithLadderActive(t *testing.T) {
 	c := circuits.MustGet("c95s")
 	rec := diffprop.Recovery{NodeLimit: 1, SiftPasses: diffprop.DefaultSiftPasses, RetryMultiplier: 1e12}
@@ -151,6 +152,30 @@ func TestSerialParallelEquivalentWithLadderActive(t *testing.T) {
 		}
 		if !reflect.DeepEqual(stripStatsSA(par), stripStatsSA(serial)) {
 			t.Fatalf("workers=%d: parallel ladder study differs from serial", workers)
+		}
+	}
+
+	// A 2x retry of a 1-op budget still blows almost every fault, which
+	// then degrades to the deterministic simulation estimate.
+	var degraded StuckAtStudy
+	for _, workers := range []int{1, 3} {
+		study, err := RunStuckAtCampaign(c, nil, fs, CampaignConfig{
+			Workers:  workers,
+			FaultOps: 1,
+			Recovery: diffprop.Recovery{RetryMultiplier: 2},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if study.Stats.Degraded == 0 {
+			t.Fatalf("workers=%d: no fault degraded under a one-op budget", workers)
+		}
+		if workers == 1 {
+			degraded = study
+			continue
+		}
+		if !reflect.DeepEqual(stripStatsSA(study), stripStatsSA(degraded)) {
+			t.Fatalf("workers=%d: degraded study differs from the 1-worker run", workers)
 		}
 	}
 }

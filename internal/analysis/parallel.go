@@ -125,17 +125,6 @@ type CampaignConfig struct {
 	// (and re-derived as the campaign progresses) instead of hand-tuned
 	// FaultOps/Recovery values. The zero value disables calibration.
 	Calibrate Calibration
-	// Order selects the fault dispatch order (see OrderPolicy). The zero
-	// value, OrderIndex, keeps the historical raw-index dispatch; OrderCone
-	// and OrderLevel reorder the dispatch sequence for cone locality while
-	// records stay index-aligned and bit-identical to serial runs.
-	Order OrderPolicy
-	// FullScan switches every engine to the historical full-gate-scan
-	// propagation instead of the cone-restricted worklist (see
-	// diffprop.Engine.SetFullScanReference). Results are bit-identical
-	// either way; the scan is kept as the differential-testing reference
-	// and the seed baseline of the scheduling benchmark.
-	FullScan bool
 	// Name labels the campaign in heartbeats and logs. Empty selects a
 	// default derived from the fault model and circuit name.
 	Name string
@@ -164,15 +153,13 @@ type CampaignStats struct {
 	Workers int
 	// Faults is the number of faults analyzed.
 	Faults int
-	// Order is the dispatch policy the faults were scheduled under.
-	Order OrderPolicy
 	// GateEvaluations totals the gates whose difference function was
 	// computed across all faults; selective trace skipped the rest.
 	GateEvaluations int64
 	// GatesVisited totals the gates every propagation loop examined and
 	// GatesSkipped the gates cone-restricted propagation never touched;
 	// their sum is analyses × gate count, and the skipped share is the
-	// structural saving over the full-scan reference.
+	// structural saving over a full-gate scan.
 	GatesVisited int64
 	GatesSkipped int64
 	// Rebuilds counts generational BDD-manager GC passes over all engines.
@@ -228,9 +215,6 @@ func (s CampaignStats) String() string {
 		"workers=%d faults=%d gate-evals=%d rebuilds=%d peak-nodes=%d cache-hit=%.1f%% elapsed=%s",
 		s.Workers, s.Faults, s.GateEvaluations, s.Rebuilds, s.PeakNodes,
 		100*s.Cache.HitRate(), s.Elapsed.Round(time.Millisecond))
-	if s.Order != OrderIndex {
-		out += fmt.Sprintf(" order=%s", s.Order)
-	}
 	if total := s.GatesVisited + s.GatesSkipped; total > 0 && s.GatesSkipped > 0 {
 		out += fmt.Sprintf(" cone-skip=%.1f%%", 100*float64(s.GatesSkipped)/float64(total))
 	}
@@ -348,15 +332,12 @@ func prepareEngines(c *netlist.Circuit, opts *diffprop.Options, workers int, iso
 // none) marks indices restored from a checkpoint, which are counted as
 // done without being re-analyzed.
 //
-// Workers claim guided-size blocks of contiguous dispatch positions
-// rather than single faults: neighboring faults share fan-out cones, so
+// Workers claim guided-size blocks of contiguous fault indices rather
+// than single faults: neighboring faults share fan-out cones, so
 // analyzing them on the same engine keeps its operation caches warm
 // (single-index dispatch costs ~20% extra apply work on c1355s). Block
 // size shrinks with the remaining work, so the tail still balances across
-// workers. sched (nil = index order) permutes dispatch positions into
-// fault indices and aligns claims to its cone clusters; records still
-// land at their original indices, so the study layout is
-// schedule-independent.
+// workers.
 //
 // Workers observe cancellation of cfg's context between faults — including
 // inside a claimed block — and drain out promptly, leaving the remaining
@@ -369,7 +350,7 @@ func prepareEngines(c *netlist.Circuit, opts *diffprop.Options, workers int, iso
 // worker between faults: one atomic generation load on the hot path, a
 // re-arm of the worker's own engine when the calibrator published new
 // bounds — never touching an engine whose fault is in flight.
-func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip []bool, sched *schedule, instr *campaignInstr, inj *chaos.Injector, cal *calibrator, analyze func(e *diffprop.Engine, w, i int) (faultOutcome, error)) (CampaignStats, error) {
+func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip []bool, instr *campaignInstr, inj *chaos.Injector, cal *calibrator, analyze func(e *diffprop.Engine, w, i int) (faultOutcome, error)) (CampaignStats, error) {
 	start := time.Now()
 	ctx := cfg.ctx()
 	instr.setup(engines)
@@ -432,16 +413,11 @@ func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip
 				if hi > total {
 					hi = total
 				}
-				// Cluster-aligned claiming: trim the block to the cone
-				// cluster boundary before racing for it, so a cluster is
-				// analyzed by one engine unless it outgrows the block.
-				hi = sched.trim(lo, hi)
 				if !next.CompareAndSwap(int64(lo), int64(hi)) {
 					continue
 				}
 				instr.workerClaim(w, lo, hi-lo)
-				for j := lo; j < hi; j++ {
-					i := sched.index(j)
+				for i := lo; i < hi; i++ {
 					if skip != nil && skip[i] {
 						continue
 					}
@@ -496,7 +472,6 @@ func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip
 	gov.stop()
 	stats := CampaignStats{
 		Workers:  len(engines),
-		Order:    cfg.Order,
 		Faults:   analyzed,
 		Elapsed:  time.Since(start),
 		Canceled: ctx.Err() != nil,
@@ -597,14 +572,10 @@ func RunStuckAtCampaign(c *netlist.Circuit, opts *diffprop.Options, fs []faults.
 	for _, e := range engines {
 		e.SetFaultBudget(cfg.budget())
 		e.SetRecovery(cfg.Recovery)
-		e.SetFullScanReference(cfg.FullScan)
 	}
 	work := engines[0].Circuit
 	toPO := work.MaxLevelsToPO()
 	levels := work.Levels()
-	sched := newSchedule(cfg.Order, len(fs), func(i int) int {
-		return stuckAtSite(fs[i])
-	}, work, engines[0].FeedbackChecker())
 	records := make([]StuckAtRecord, len(fs))
 	skip, err := resumeDecode(len(fs), cfg.Resume, func(i int, raw json.RawMessage) error {
 		return json.Unmarshal(raw, &records[i])
@@ -622,7 +593,7 @@ func RunStuckAtCampaign(c *netlist.Circuit, opts *diffprop.Options, fs []faults.
 	inj := newCampaignInjector(cfg, instr)
 	cal := newCalibrator(cfg, instr)
 	analyzed := make([]bool, len(fs))
-	stats, runErr := runCampaign(engines, len(fs), cfg, skip, sched, instr, inj, cal, func(e *diffprop.Engine, w, i int) (faultOutcome, error) {
+	stats, runErr := runCampaign(engines, len(fs), cfg, skip, instr, inj, cal, func(e *diffprop.Engine, w, i int) (faultOutcome, error) {
 		rec, outcome := analyzeStuckAt(e, fs[i], toPO, levels, fb, chaosHook(inj, e, i), instr.ladderHook(w, i))
 		records[i] = rec
 		analyzed[i] = true
@@ -642,13 +613,6 @@ func RunStuckAtCampaign(c *netlist.Circuit, opts *diffprop.Options, fs []faults.
 	study.Records = records
 	study.Stats = stats
 	return study, runErr
-}
-
-// RunStuckAtParallel analyzes the fault set with `workers` engines
-// (0 = one per CPU). It is RunStuckAtCampaign without progress reporting,
-// kept for callers that only want to set the parallelism.
-func RunStuckAtParallel(c *netlist.Circuit, opts *diffprop.Options, fs []faults.StuckAt, workers int) (StuckAtStudy, error) {
-	return RunStuckAtCampaign(c, opts, fs, CampaignConfig{Workers: workers})
 }
 
 // RunBridgingCampaign is the bridging-fault counterpart of
@@ -673,15 +637,9 @@ func RunBridgingCampaign(c *netlist.Circuit, opts *diffprop.Options, bs []faults
 	for _, e := range engines {
 		e.SetFaultBudget(cfg.budget())
 		e.SetRecovery(cfg.Recovery)
-		e.SetFullScanReference(cfg.FullScan)
 	}
 	work := engines[0].Circuit
 	toPO := work.MaxLevelsToPO()
-	// A bridge seeds differences at both wires; the lower one (U, earlier
-	// in topological order) anchors its cluster.
-	sched := newSchedule(cfg.Order, len(bs), func(i int) int {
-		return bs[i].U
-	}, work, engines[0].FeedbackChecker())
 	records := make([]BridgingRecord, len(bs))
 	skip, err := resumeDecode(len(bs), cfg.Resume, func(i int, raw json.RawMessage) error {
 		return json.Unmarshal(raw, &records[i])
@@ -699,7 +657,7 @@ func RunBridgingCampaign(c *netlist.Circuit, opts *diffprop.Options, bs []faults
 	inj := newCampaignInjector(cfg, instr)
 	cal := newCalibrator(cfg, instr)
 	analyzed := make([]bool, len(bs))
-	stats, runErr := runCampaign(engines, len(bs), cfg, skip, sched, instr, inj, cal, func(e *diffprop.Engine, w, i int) (faultOutcome, error) {
+	stats, runErr := runCampaign(engines, len(bs), cfg, skip, instr, inj, cal, func(e *diffprop.Engine, w, i int) (faultOutcome, error) {
 		rec, outcome := analyzeBridging(e, bs[i], toPO, fb, chaosHook(inj, e, i), instr.ladderHook(w, i))
 		records[i] = rec
 		analyzed[i] = true
@@ -719,9 +677,4 @@ func RunBridgingCampaign(c *netlist.Circuit, opts *diffprop.Options, bs []faults
 	study.Records = records
 	study.Stats = stats
 	return study, runErr
-}
-
-// RunBridgingParallel is RunBridgingCampaign without progress reporting.
-func RunBridgingParallel(c *netlist.Circuit, opts *diffprop.Options, bs []faults.Bridging, kind faults.BridgeKind, population int, sampled bool, workers int) (BridgingStudy, error) {
-	return RunBridgingCampaign(c, opts, bs, kind, population, sampled, CampaignConfig{Workers: workers})
 }

@@ -40,8 +40,8 @@ func TestParallelStuckAtMatchesSerial(t *testing.T) {
 	}
 	fs := faults.CheckpointStuckAts(e.Circuit)
 	serial := RunStuckAt(e, fs)
-	for _, workers := range []int{1, 3, 8} {
-		par, err := RunStuckAtParallel(c, nil, fs, workers)
+	for _, workers := range []int{1, 3, 4, 8} {
+		par, err := RunStuckAtCampaign(c, nil, fs, CampaignConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,6 +50,9 @@ func TestParallelStuckAtMatchesSerial(t *testing.T) {
 		}
 		if par.Stats.GateEvaluations <= 0 || par.Stats.PeakNodes <= 0 {
 			t.Fatalf("workers=%d: empty stats %+v", workers, par.Stats)
+		}
+		if par.Stats.GatesSkipped == 0 {
+			t.Fatalf("workers=%d: worklist skipped no gates", workers)
 		}
 		if !reflect.DeepEqual(stripStatsSA(par), stripStatsSA(serial)) {
 			t.Fatalf("workers=%d: parallel study differs from serial", workers)
@@ -66,7 +69,7 @@ func TestParallelBridgingMatchesSerial(t *testing.T) {
 	set, pop, sampled := BridgingSet(e.Circuit, faults.WiredOR, 150, 0.3, 7)
 	serial := RunBridging(e, set, faults.WiredOR, pop, sampled)
 	for _, workers := range []int{1, 4} {
-		par, err := RunBridgingParallel(c, nil, set, faults.WiredOR, pop, sampled, workers)
+		par, err := RunBridgingCampaign(c, nil, set, faults.WiredOR, pop, sampled, CampaignConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,10 +135,10 @@ func TestParallelRejectsBadCircuit(t *testing.T) {
 	c := circuits.MustGet("c17")
 	bad := &diffprop.Options{Order: []string{"nope"}}
 	fs := faults.CheckpointStuckAts(c.Decompose2())
-	if _, err := RunStuckAtParallel(c, bad, fs, 4); err == nil {
+	if _, err := RunStuckAtCampaign(c, bad, fs, CampaignConfig{Workers: 4}); err == nil {
 		t.Fatal("bad options must surface an error")
 	}
-	if _, err := RunBridgingParallel(c, bad, faults.AllNFBFs(c, faults.WiredAND), faults.WiredAND, 1, false, 4); err == nil {
+	if _, err := RunBridgingCampaign(c, bad, faults.AllNFBFs(c, faults.WiredAND), faults.WiredAND, 1, false, CampaignConfig{Workers: 4}); err == nil {
 		t.Fatal("bad options must surface an error (bridging)")
 	}
 }
@@ -144,7 +147,7 @@ func TestParallelRejectsBadCircuit(t *testing.T) {
 // workers to spawn, but a valid header and empty (non-nil) record slice.
 func TestCampaignEmptyFaultSet(t *testing.T) {
 	c := circuits.MustGet("c17")
-	s, err := RunStuckAtParallel(c, nil, nil, 4)
+	s, err := RunStuckAtCampaign(c, nil, nil, CampaignConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

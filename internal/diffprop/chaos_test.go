@@ -12,7 +12,13 @@ import (
 
 // analyzeAborting runs one StuckAt query and reports which resource
 // sentinel (if any) aborted it, recovering the engine on abort.
-func analyzeAborting(t *testing.T, e *Engine, f faults.StuckAt) (res Result, abort error) {
+func analyzeAborting(t *testing.T, e *Engine, f faults.StuckAt) (Result, error) {
+	t.Helper()
+	return runAborting(t, e, func() Result { return e.StuckAt(f) })
+}
+
+// runAborting is analyzeAborting for an arbitrary query on e.
+func runAborting(t *testing.T, e *Engine, query func() Result) (res Result, abort error) {
 	t.Helper()
 	defer func() {
 		r := recover()
@@ -26,7 +32,7 @@ func analyzeAborting(t *testing.T, e *Engine, f faults.StuckAt) (res Result, abo
 		e.Recover()
 		abort = err
 	}()
-	return e.StuckAt(f), nil
+	return query(), nil
 }
 
 func TestArmChaosAbortIsOneShot(t *testing.T) {

@@ -138,12 +138,6 @@ type Engine struct {
 	// feedback screen for bridging faults.
 	reach *faults.Reachability
 
-	// fullScan forces the reference full-gate-scan propagation instead of
-	// the cone-restricted worklist (see SetFullScanReference). The two are
-	// bit-identical; the scan is kept for differential testing and as the
-	// seed-baseline arm of the scheduling benchmark.
-	fullScan bool
-
 	// coneBuf and deltaBuf are per-view scratch for the worklist
 	// propagation: the merged fan-out-cone bitset of the current fault's
 	// seed sites, and the per-net difference functions (bdd.False = none).
@@ -211,11 +205,10 @@ type Engine struct {
 	sifts          int
 
 	// gatesVisited/gatesSkipped split each analysis's gate walk: visited
-	// gates entered the propagation loop (the fault's merged cone under the
-	// worklist, every gate under the full scan); skipped gates were proven
-	// unreachable from the seed sites and never touched. lastConeGates is
-	// the visited count of the most recent analysis (the cone-size sample
-	// behind the obs histogram).
+	// gates entered the propagation loop (the fault's merged cone); skipped
+	// gates were proven unreachable from the seed sites and never touched.
+	// lastConeGates is the visited count of the most recent analysis (the
+	// cone-size sample behind the obs histogram).
 	gatesVisited  int64
 	gatesSkipped  int64
 	lastConeGates int
@@ -282,8 +275,7 @@ type Stats struct {
 	// GatesSkipped the gates it never touched: under the cone-restricted
 	// worklist only the seed sites' merged fan-out cone is visited, so
 	// Visited+Skipped = analyses x gate count and Skipped measures the walk
-	// work the cone index saved over the full scan (which visits every
-	// gate, skipping none).
+	// work the cone index saved over a scan of every gate.
 	GatesVisited int64
 	GatesSkipped int64
 	// Rebuilds counts generational GC passes of the BDD manager.
@@ -347,24 +339,9 @@ func (e *Engine) CacheTraffic() (hits, misses int64) {
 		cs.ApplyMisses + cs.IteMisses + cs.NotMisses
 }
 
-// SetFullScanReference toggles the propagation strategy: off (the
-// default) runs the cone-restricted worklist, which walks only the seed
-// sites' merged fan-out cone; on forces the historical full-gate scan.
-// Both produce bit-identical Results — same BDD operations in the same
-// order — because every gate outside the merged cone provably sees only
-// zero input differences and contributes nothing. The scan is retained as
-// the differential-testing reference and the seed-baseline arm of the
-// scheduling benchmark.
-func (e *Engine) SetFullScanReference(on bool) { e.fullScan = on }
-
-// FullScanReference reports whether the reference full-gate scan is
-// forced.
-func (e *Engine) FullScanReference() bool { return e.fullScan }
-
 // LastConeGates returns the number of gates the most recent analysis's
-// propagation loop visited: the fault's merged fan-out-cone size under
-// the worklist, the full gate count under the scan reference. This is the
-// per-fault sample behind the campaign cone-size histogram.
+// propagation loop visited: the fault's merged fan-out-cone size. This is
+// the per-fault sample behind the campaign cone-size histogram.
 func (e *Engine) LastConeGates() int { return e.lastConeGates }
 
 // GateWalk returns the engine's cumulative propagation-walk footprint:
@@ -506,7 +483,6 @@ func (e *Engine) Clone() *Engine {
 		synValid:     append([]bool(nil), e.synValid...),
 		varToInput:   e.varToInput,
 		reach:        e.reach,
-		fullScan:     e.fullScan,
 		faultBudget:  e.faultBudget,
 		recovery:     e.recovery,
 		lastSiftSize: e.lastSiftSize,
@@ -548,7 +524,6 @@ func (e *Engine) Share() *Engine {
 		synValid:     append([]bool(nil), e.synValid...),
 		varToInput:   e.varToInput,
 		reach:        e.reach,
-		fullScan:     e.fullScan,
 		faultBudget:  e.faultBudget,
 		recovery:     e.recovery,
 		shared:       e.shared,
@@ -895,28 +870,6 @@ type seeds struct {
 	forcePin map[pinKey]bool
 }
 
-// propagate seeds the given differences and runs selective-trace
-// difference propagation to all primary outputs.
-func (e *Engine) propagate(netSeeds map[int]bdd.Ref, pinSeeds map[pinKey]bdd.Ref) Result {
-	return e.propagateSeeds(seeds{net: netSeeds, pin: pinSeeds})
-}
-
-// propagateSeeds dispatches between the cone-restricted worklist (the
-// default) and the retained full-gate-scan reference. The two are
-// bit-identical: a gate outside the seed sites' merged fan-out cone can
-// receive only zero input differences (differences originate at seed
-// sites and flow along fan-out edges, and cones are transitively closed),
-// so the full scan does no BDD work there and the worklist may skip it
-// entirely. Within the cone both walk gates in ascending net id — the
-// topological order Validate guarantees — so they issue the same BDD
-// operations in the same order.
-func (e *Engine) propagateSeeds(sd seeds) Result {
-	if e.fullScan {
-		return e.propagateSeedsFullScan(sd)
-	}
-	return e.propagateSeedsWorklist(sd)
-}
-
 // pinDelta resolves the difference arriving at one gate input pin:
 // forced-pin constants override pin seeds, which override whatever
 // difference the fan-in net carries (bdd.False for none).
@@ -934,12 +887,18 @@ func (e *Engine) pinDelta(sd seeds, delta []bdd.Ref, id, pin, fanin int) bdd.Ref
 	return delta[fanin]
 }
 
-// propagateSeedsWorklist is the cone-restricted propagation: it ORs the
+// propagateSeeds is the cone-restricted worklist propagation: it ORs the
 // packed reachability rows of every seed site into a merged-cone bitset
-// and walks only those nets, in ascending id (= topological) order. Gate
-// bodies are identical to the full scan's; per-fault walk cost drops from
-// O(|circuit|) to O(|cone|).
-func (e *Engine) propagateSeedsWorklist(sd seeds) Result {
+// and walks only those nets, in ascending id (= topological) order, so
+// per-fault walk cost is O(|cone|) rather than O(|circuit|). It matches a
+// scan over every gate exactly: a gate outside the merged cone can
+// receive only zero input differences (differences originate at seed
+// sites and flow along fan-out edges, and cones are transitively closed),
+// so a full scan does no BDD work there. Within the cone gates are walked
+// in ascending net id — the topological order Validate guarantees — so
+// the BDD operations are the ones a full scan issues, in the same order.
+// The full scan survives as the test-only reference in worklist_test.go.
+func (e *Engine) propagateSeeds(sd seeds) Result {
 	var clk time.Time
 	if e.phaseClock {
 		clk = time.Now()
@@ -1097,137 +1056,16 @@ func (e *Engine) propagateSeedsWorklist(sd seeds) Result {
 	return res
 }
 
-// propagateSeedsFullScan is the historical O(|circuit|) propagation: every
-// gate is examined in index order and selective trace skips those with
-// all-False input differences. Kept verbatim as the differential-testing
-// reference for the worklist (see SetFullScanReference).
-func (e *Engine) propagateSeedsFullScan(sd seeds) Result {
-	var clk time.Time
-	if e.phaseClock {
-		clk = time.Now()
-		// Everything between begin() and here built the difference seeds.
-		e.lastPhases.Build = clk.Sub(e.phaseStart)
-	}
-	m := e.m
-	c := e.Circuit
-	delta := make(map[int]bdd.Ref, 64)
-	for net, d := range sd.net {
-		if d != bdd.False {
-			delta[net] = d
-		}
-	}
-	// A forced primary input differs wherever its good value disagrees
-	// with the forced constant.
-	for net, v := range sd.forceNet {
-		if c.Gates[net].Type == netlist.Input {
-			if d := e.forcedDelta(net, v); d != bdd.False {
-				delta[net] = d
-			}
-		}
-	}
-	evaluated := 0
-	for id, g := range c.Gates {
-		if g.Type == netlist.Input {
-			continue
-		}
-		// A forced gate output overrides any arriving difference: the
-		// faulty value is the constant no matter what happens upstream.
-		if v, ok := sd.forceNet[id]; ok {
-			if d := e.forcedDelta(id, v); d != bdd.False {
-				delta[id] = d
-			} else {
-				delete(delta, id)
-			}
-			continue
-		}
-		din := func(pin int) bdd.Ref {
-			if v, ok := sd.forcePin[pinKey{id, pin}]; ok {
-				return e.forcedDelta(g.Fanin[pin], v)
-			}
-			if d, ok := sd.pin[pinKey{id, pin}]; ok {
-				return d
-			}
-			if d, ok := delta[g.Fanin[pin]]; ok {
-				return d
-			}
-			return bdd.False
-		}
-		var out bdd.Ref
-		switch g.Type {
-		case netlist.Not, netlist.Buff:
-			out = din(0)
-			if out == bdd.False {
-				continue
-			}
-		case netlist.Xor, netlist.Xnor:
-			da, db := din(0), din(1)
-			if da == bdd.False && db == bdd.False {
-				continue // selective trace: no difference reaches this gate
-			}
-			evaluated++
-			out = m.Xor(da, db)
-		case netlist.And, netlist.Nand, netlist.Or, netlist.Nor:
-			da, db := din(0), din(1)
-			if da == bdd.False && db == bdd.False {
-				continue // selective trace: no difference reaches this gate
-			}
-			evaluated++
-			fa, fb := e.good[g.Fanin[0]], e.good[g.Fanin[1]]
-			if g.Type == netlist.Or || g.Type == netlist.Nor {
-				fa, fb = m.Not(fa), m.Not(fb)
-			}
-			// ΔC = fA·ΔB ⊕ fB·ΔA ⊕ ΔA·ΔB, with the usual short cuts when
-			// one input carries no difference.
-			switch {
-			case da == bdd.False:
-				out = m.And(fa, db)
-			case db == bdd.False:
-				out = m.And(fb, da)
-			default:
-				t := m.Xor(m.And(fa, db), m.And(fb, da))
-				out = m.Xor(t, m.And(da, db))
-			}
-		default:
-			panic(fmt.Sprintf("diffprop: unexpected gate type %v", g.Type))
-		}
-		if out != bdd.False {
-			delta[id] = out
-		}
-	}
-	res := Result{PerPO: make([]bdd.Ref, len(c.Outputs)), Complete: bdd.False, GatesEvaluated: evaluated}
-	for i, o := range c.Outputs {
-		// A missing map entry yields the zero Ref, which is bdd.False: a
-		// difference that never reached (or was seeded at) this output.
-		d := delta[o]
-		res.PerPO[i] = d
-		if d != bdd.False {
-			res.ObservedPOs = append(res.ObservedPOs, i)
-			res.Complete = m.Or(res.Complete, d)
-		}
-	}
-	if e.phaseClock {
-		now := time.Now()
-		e.lastPhases.Propagate = now.Sub(clk)
-		clk = now
-	}
-	res.Detectability = m.SatFrac(res.Complete)
-	if e.phaseClock {
-		e.lastPhases.SatCount = time.Since(clk)
-	}
-	e.analyses++
-	e.gateEvals += int64(evaluated)
-	// The scan examines every gate; it restricts nothing and skips none.
-	e.gatesVisited += int64(c.NumGates())
-	e.lastConeGates = c.NumGates()
-	if nc := m.NodeCount(); nc > e.peakNodes {
-		e.peakNodes = nc
-	}
-	return res
-}
-
 // StuckAt computes the complete test set for a single stuck-at fault
 // (net or fan-out-branch site) in the working circuit.
 func (e *Engine) StuckAt(f faults.StuckAt) Result {
+	return e.propagateSeeds(e.stuckAtSeeds(f))
+}
+
+// stuckAtSeeds opens the analysis and builds the fault's difference seed.
+// Like every *Seeds builder it calls begin first, so seed construction is
+// metered with the propagation as one unit.
+func (e *Engine) stuckAtSeeds(f faults.StuckAt) seeds {
 	e.begin()
 	fl := e.good[f.Net]
 	var d bdd.Ref
@@ -1237,9 +1075,9 @@ func (e *Engine) StuckAt(f faults.StuckAt) Result {
 		d = fl // stuck-at-0 differs wherever the line is 1
 	}
 	if !f.IsBranch() {
-		return e.propagate(map[int]bdd.Ref{f.Net: d}, nil)
+		return seeds{net: map[int]bdd.Ref{f.Net: d}}
 	}
-	return e.propagate(nil, map[pinKey]bdd.Ref{{f.Gate, f.Pin}: d})
+	return seeds{pin: map[pinKey]bdd.Ref{{f.Gate, f.Pin}: d}}
 }
 
 // forcedDelta returns the difference of a line forced to the constant v:
@@ -1273,6 +1111,12 @@ func (e *Engine) forcedDelta(net int, v bool) bdd.Ref {
 // addressed, and it powers the X5 double-fault experiment in the style of
 // Hughes & McCluskey (the paper's ref [2]).
 func (e *Engine) MultipleStuckAt(fs []faults.StuckAt) Result {
+	return e.propagateSeeds(e.multipleStuckAtSeeds(fs))
+}
+
+// multipleStuckAtSeeds opens the analysis and forces every component
+// fault's site.
+func (e *Engine) multipleStuckAtSeeds(fs []faults.StuckAt) seeds {
 	e.begin()
 	sd := seeds{forceNet: map[int]bool{}, forcePin: map[pinKey]bool{}}
 	for _, f := range fs {
@@ -1282,7 +1126,7 @@ func (e *Engine) MultipleStuckAt(fs []faults.StuckAt) Result {
 			sd.forceNet[f.Net] = f.Stuck
 		}
 	}
-	return e.propagateSeeds(sd)
+	return sd
 }
 
 // GateSubstitution computes the complete test set of a gate replacement
@@ -1292,6 +1136,12 @@ func (e *Engine) MultipleStuckAt(fs []faults.StuckAt) Result {
 // Difference Propagation addresses "more logical fault models than just
 // the single stuck-at fault".
 func (e *Engine) GateSubstitution(gate int, wrongType netlist.GateType) Result {
+	return e.propagateSeeds(e.gateSubstitutionSeeds(gate, wrongType))
+}
+
+// gateSubstitutionSeeds opens the analysis and builds the substituted
+// gate's difference seed.
+func (e *Engine) gateSubstitutionSeeds(gate int, wrongType netlist.GateType) seeds {
 	e.begin()
 	g := e.Circuit.Gates[gate]
 	if g.Type == netlist.Input {
@@ -1324,7 +1174,7 @@ func (e *Engine) GateSubstitution(gate int, wrongType netlist.GateType) Result {
 		panic(fmt.Sprintf("diffprop: cannot substitute gate type %v", wrongType))
 	}
 	d := m.Xor(e.good[gate], wrong)
-	return e.propagate(map[int]bdd.Ref{gate: d}, nil)
+	return seeds{net: map[int]bdd.Ref{gate: d}}
 }
 
 // FeedbackChecker returns the engine's fan-out reachability table (built
@@ -1344,6 +1194,12 @@ func (e *Engine) FeedbackChecker() *faults.Reachability {
 // functions: for a wired-AND bridge F_u = F_v = f_u∧f_v, so
 // Δ_u = f_u·¬f_v and Δ_v = f_v·¬f_u; dually for wired-OR.
 func (e *Engine) Bridging(b faults.Bridging) Result {
+	return e.propagateSeeds(e.bridgingSeeds(b))
+}
+
+// bridgingSeeds rejects feedback bridges, then opens the analysis and
+// builds both wires' difference seeds.
+func (e *Engine) bridgingSeeds(b faults.Bridging) seeds {
 	if e.FeedbackChecker().IsFeedback(b.U, b.V) {
 		panic(fmt.Sprintf("diffprop: %v is a feedback bridge", b))
 	}
@@ -1358,7 +1214,7 @@ func (e *Engine) Bridging(b faults.Bridging) Result {
 		du = m.And(m.Not(fu), fv)
 		dv = m.And(m.Not(fv), fu)
 	}
-	return e.propagate(map[int]bdd.Ref{b.U: du, b.V: dv}, nil)
+	return seeds{net: map[int]bdd.Ref{b.U: du, b.V: dv}}
 }
 
 // Observability computes the exact observability function of a net: the
@@ -1374,7 +1230,7 @@ func (e *Engine) Bridging(b faults.Bridging) Result {
 // difference propagation.
 func (e *Engine) Observability(net int) bdd.Ref {
 	e.begin()
-	return e.propagate(map[int]bdd.Ref{net: bdd.True}, nil).Complete
+	return e.propagateSeeds(seeds{net: map[int]bdd.Ref{net: bdd.True}}).Complete
 }
 
 // PinObservability is Observability for a single fan-out branch: the set
@@ -1382,7 +1238,7 @@ func (e *Engine) Observability(net int) bdd.Ref {
 // some primary output.
 func (e *Engine) PinObservability(gate, pin int) bdd.Ref {
 	e.begin()
-	return e.propagate(nil, map[pinKey]bdd.Ref{{gate, pin}: bdd.True}).Complete
+	return e.propagateSeeds(seeds{pin: map[pinKey]bdd.Ref{{gate, pin}: bdd.True}}).Complete
 }
 
 // FactoredStuckAt computes a stuck-at fault's complete test set the

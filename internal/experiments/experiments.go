@@ -69,14 +69,6 @@ type Config struct {
 	// from each circuit's measured op-cost distribution instead of the
 	// hand-tuned FaultOps/Recovery knobs (see analysis.Calibration).
 	Calibrate analysis.Calibration
-	// Order selects the fault dispatch policy of every campaign the
-	// runner launches (see analysis.OrderPolicy); results are
-	// bit-identical under any policy, only throughput changes.
-	Order analysis.OrderPolicy
-	// FullScan forces the full-gate-scan propagation reference on every
-	// campaign (the differential-testing baseline; see
-	// analysis.CampaignConfig.FullScan).
-	FullScan bool
 	// Progress, when non-nil, observes every fault-analysis campaign the
 	// runner launches: the circuit being studied plus done/total fault
 	// counts. Callbacks arrive serially per campaign. Used by cmd/figures
@@ -192,8 +184,6 @@ func (r *Runner) campaignConfig(label string) analysis.CampaignConfig {
 		Recovery:     r.cfg.Recovery,
 		MemLimit:     r.cfg.MemLimit,
 		Calibrate:    r.cfg.Calibrate,
-		Order:        r.cfg.Order,
-		FullScan:     r.cfg.FullScan,
 		Obs:          r.cfg.Obs,
 		Name:         label,
 	}

@@ -44,7 +44,6 @@ func (r *Runner) shardedRecords(name, model string, total int) (map[int]json.Raw
 		"-theta", fmt.Sprint(cfg.Theta),
 		"-seed", fmt.Sprint(cfg.Seed),
 		"-workers", fmt.Sprint(cfg.Workers),
-		"-order", cfg.Order.String(),
 	}
 	if cfg.FaultOps > 0 {
 		args = append(args, "-budget", fmt.Sprint(cfg.FaultOps))
@@ -66,9 +65,6 @@ func (r *Runner) shardedRecords(name, model string, total int) (map[int]json.Raw
 	}
 	if cfg.Calibrate.Enabled {
 		args = append(args, "-calibrate")
-	}
-	if cfg.FullScan {
-		args = append(args, "-fullscan")
 	}
 	cmd := exec.Command(cfg.WorkerBinary, args...)
 	cmd.Stdout = io.Discard // the human report; the checkpoint is the output

@@ -362,7 +362,7 @@ type FlightDump struct {
 	Timeline     []TimelineSample   `json:"timeline,omitempty"`
 	FaultLatency *HistogramSnapshot `json:"fault_latency,omitempty"`
 	// ConeGates is the per-fault merged fan-out-cone-size distribution
-	// (the post-mortem scheduling section's raw material).
+	// (the post-mortem propagation-footprint section's raw material).
 	ConeGates *HistogramSnapshot `json:"cone_gates,omitempty"`
 	Campaigns []CampaignSnapshot `json:"campaigns,omitempty"`
 }

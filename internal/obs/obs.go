@@ -159,8 +159,8 @@ type CampaignMetrics struct {
 	// campaign_gate_evaluations_total: selective-trace work actually done.
 	GateEvaluations *Counter
 	// campaign_cone_gates: per-fault size of the merged fan-out cone the
-	// propagation loop walked (the full gate count under the full-scan
-	// reference) — the cone-size distribution behind scheduling reports.
+	// propagation loop walked — the cone-size distribution behind the
+	// propagation-footprint report.
 	ConeGates *Histogram
 	// campaign_gates_visited_total / campaign_gates_skipped_total: gates
 	// the propagation loops examined versus gates cone restriction never
@@ -251,7 +251,7 @@ func (o *Observer) CampaignMetrics() *CampaignMetrics {
 		ConeGates: r.Histogram("campaign_cone_gates", "Per-fault merged fan-out-cone size walked by cone-restricted propagation.",
 			1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536),
 		GatesVisited:      r.Counter("campaign_gates_visited_total", "Gates examined by the propagation loops across all analyses."),
-		GatesSkipped:      r.Counter("campaign_gates_skipped_total", "Gates cone-restricted propagation never touched (0 under the full-scan reference)."),
+		GatesSkipped:      r.Counter("campaign_gates_skipped_total", "Gates cone-restricted propagation never touched."),
 		CampaignsRunning:  r.Gauge("campaigns_running", "Campaigns currently running."),
 		BDDNodes:          r.Gauge("bdd_nodes", "Most recently observed BDD node-table size of any worker engine."),
 		BDDPeakNodes:      r.Gauge("bdd_peak_nodes", "Largest BDD node table any single engine reached."),
@@ -306,7 +306,6 @@ type Campaign struct {
 	done, exact, degraded, errored, resumed, skipped atomic.Int64
 	rescued                                          atomic.Int64
 	gatesVisited, gatesSkipped                       atomic.Int64
-	order                                            atomic.Pointer[string]
 	canceled, finished                               atomic.Bool
 	elapsedNS                                        atomic.Int64
 
@@ -355,15 +354,6 @@ func (c *Campaign) FaultDone(o Outcome) {
 	case OutcomeError:
 		c.errored.Add(1)
 	}
-}
-
-// SetOrder labels the heartbeat with the campaign's fault dispatch policy
-// (index, cone, level). Empty names are ignored.
-func (c *Campaign) SetOrder(name string) {
-	if c == nil || name == "" {
-		return
-	}
-	c.order.Store(&name)
 }
 
 // AddGateWalk accumulates one fault's propagation-walk footprint: gates
@@ -417,9 +407,6 @@ type CampaignSnapshot struct {
 	Skipped  int64 `json:"skipped"`
 	Canceled bool  `json:"canceled"`
 	Finished bool  `json:"finished"`
-	// Order is the fault dispatch policy (index, cone, level); empty when
-	// the runner predates scheduling or never labeled the heartbeat.
-	Order string `json:"order,omitempty"`
 	// GatesVisited / GatesSkipped total the propagation loops' walk
 	// footprint: their ratio is the structural saving of cone-restricted
 	// propagation over the full-gate scan.
@@ -454,9 +441,6 @@ func (c *Campaign) Snapshot() CampaignSnapshot {
 		Skipped:  c.skipped.Load(),
 		Canceled: c.canceled.Load(),
 		Finished: c.finished.Load(),
-	}
-	if p := c.order.Load(); p != nil {
-		s.Order = *p
 	}
 	s.GatesVisited = c.gatesVisited.Load()
 	s.GatesSkipped = c.gatesSkipped.Load()

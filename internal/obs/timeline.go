@@ -28,7 +28,7 @@ type TimelineSample struct {
 	CalibrationBudgetOps int64   `json:"calibration_budget_ops"`
 	// GatesVisited is the cumulative propagation-walk footprint;
 	// ConeSkipRatio the interval-local fraction of gates cone-restricted
-	// propagation skipped (0 while the full-scan reference runs).
+	// propagation skipped.
 	GatesVisited  int64   `json:"gates_visited"`
 	ConeSkipRatio float64 `json:"cone_skip_ratio"`
 }

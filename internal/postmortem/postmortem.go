@@ -1,7 +1,8 @@
 // Package postmortem turns flight-recorder dumps into campaign
 // post-mortem reports: throughput curves, outcome breakdowns, per-worker
 // utilization, rescue-ladder effectiveness, the most expensive faults,
-// checkpoint I/O health, a chaos audit correlating every injection with
+// checkpoint I/O health, the propagation footprint (gates visited and
+// skipped, op-cache hit ratio), a chaos audit correlating every injection with
 // the records it produced, a supervision digest (worker deaths, lease
 // re-dispatches, shard bisections, poison-fault quarantines), and anomaly
 // flags. It consumes only the
@@ -442,48 +443,32 @@ func Analyze(dumps []*obs.FlightDump, opts Options) (*Report, error) {
 		}
 	}
 
-	// ---- Scheduling ----
-	b.WriteString("\n## Scheduling\n\n")
-	type schedRow struct {
-		name    string
-		order   string
-		visited int64
-		skipped int64
+	// ---- Propagation footprint ----
+	b.WriteString("\n## Propagation footprint\n\n")
+	type walkRow struct {
+		name             string
+		visited, skipped int64
 	}
-	var schedRows []schedRow
+	var walkRows []walkRow
 	for _, d := range dumps {
 		for _, c := range d.Campaigns {
-			if c.Order == "" && c.GatesVisited == 0 && c.GatesSkipped == 0 {
+			if c.GatesVisited == 0 && c.GatesSkipped == 0 {
 				continue
 			}
-			schedRows = append(schedRows, schedRow{c.Name, c.Order, c.GatesVisited, c.GatesSkipped})
+			walkRows = append(walkRows, walkRow{c.Name, c.GatesVisited, c.GatesSkipped})
 		}
 	}
-	if len(schedRows) == 0 {
-		b.WriteString("No scheduling telemetry recorded (runner predates the -order policies).\n")
+	if len(walkRows) == 0 {
+		b.WriteString("No propagation-walk telemetry recorded.\n")
 	} else {
-		b.WriteString("| campaign | order | gates visited | gates skipped | skip ratio |\n")
-		b.WriteString("|----------|-------|--------------:|--------------:|-----------:|\n")
-		for _, r := range schedRows {
-			order := r.order
-			if order == "" {
-				order = "index"
-			}
+		b.WriteString("| campaign | gates visited | gates skipped | skip ratio |\n")
+		b.WriteString("|----------|--------------:|--------------:|-----------:|\n")
+		for _, r := range walkRows {
 			ratio := 0.0
 			if tot := r.visited + r.skipped; tot > 0 {
 				ratio = float64(r.skipped) / float64(tot)
 			}
-			fmt.Fprintf(&b, "| %s | %s | %d | %d | %.1f%% |\n",
-				r.name, order, r.visited, r.skipped, 100*ratio)
-			// A cone- or level-ordered campaign that skips almost nothing is
-			// paying the scheduling overhead without the locality payoff —
-			// typically a tiny circuit or a fault set whose merged cones
-			// cover the whole netlist.
-			if order != "index" && r.visited > 0 && float64(r.skipped) < 0.05*float64(r.visited+r.skipped) {
-				rep.Anomalies = append(rep.Anomalies, fmt.Sprintf(
-					"cone scheduling ineffective: campaign %q ran order=%s but skipped only %.1f%% of gate visits — index order is likely faster here",
-					r.name, order, 100*ratio))
-			}
+			fmt.Fprintf(&b, "| %s | %d | %d | %.1f%% |\n", r.name, r.visited, r.skipped, 100*ratio)
 		}
 	}
 	if h := lastConeGates(dumps); h != nil && h.Count > 0 {
@@ -491,7 +476,7 @@ func Analyze(dumps []*obs.FlightDump, opts Options) (*Report, error) {
 			h.Count, h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99))
 	}
 	if mean, n, ok := meanCacheHitRatio(dumps); ok {
-		fmt.Fprintf(&b, "\nOp-cache hit ratio under this schedule: %.2f mean over %d timeline samples.\n", mean, n)
+		fmt.Fprintf(&b, "\nOp-cache hit ratio: %.2f mean over %d timeline samples.\n", mean, n)
 	}
 
 	// ---- Chaos audit ----

@@ -26,7 +26,6 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 	study, err := analysis.RunStuckAtCampaign(c, nil, fs, analysis.CampaignConfig{
 		Workers:  4,
 		Obs:      o,
-		Order:    analysis.OrderCone,
 		FaultOps: 50_000_000,
 		Recovery: diffprop.Recovery{RetryMultiplier: 8},
 		Chaos: &chaos.Config{Seed: 7, Rules: []chaos.Rule{
@@ -81,44 +80,61 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 	for _, section := range []string{
 		"## Run overview", "## Outcomes", "## Fault latency", "## Throughput",
 		"## Worker utilization", "## Rescue ladder", "most expensive faults",
-		"## Checkpoint I/O", "## Scheduling", "## Chaos audit", "## Anomalies",
+		"## Checkpoint I/O", "## Propagation footprint", "## Chaos audit", "## Anomalies",
 	} {
 		if !strings.Contains(rep.Markdown, section) {
 			t.Errorf("report is missing section %q", section)
 		}
 	}
-	if !strings.Contains(rep.Markdown, "| cone |") {
-		t.Error("scheduling section does not report the cone dispatch policy")
+	if !strings.Contains(rep.Markdown, "| campaign | gates visited | gates skipped | skip ratio |") {
+		t.Error("propagation-footprint section does not render its walk table")
 	}
 }
 
 // TestSchedulingSectionAndAnomaly feeds synthetic campaign heartbeats to
-// the analyzer: a healthy cone-ordered campaign renders its walk footprint
-// in the scheduling table, while a reordered campaign that skipped almost
-// nothing must raise the ineffective-scheduling anomaly.
+// the analyzer: every campaign renders its walk footprint in the
+// propagation-footprint table, and a campaign whose cone restriction
+// skipped almost nothing is reported as data, not flagged as an anomaly.
 func TestSchedulingSectionAndAnomaly(t *testing.T) {
 	d := &obs.FlightDump{
 		Program: "test", Reason: "completed",
 		Campaigns: []obs.CampaignSnapshot{
-			{Name: "healthy", Order: "cone", GatesVisited: 400, GatesSkipped: 600},
-			{Name: "wasted", Order: "level", GatesVisited: 1000, GatesSkipped: 3},
+			{Name: "narrow", GatesVisited: 400, GatesSkipped: 600},
+			{Name: "wide", GatesVisited: 1000, GatesSkipped: 3},
 		},
 	}
 	rep, err := postmortem.Analyze([]*obs.FlightDump{d}, postmortem.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(rep.Markdown, "| healthy | cone | 400 | 600 | 60.0% |") {
-		t.Fatalf("scheduling table missing the healthy campaign row:\n%s", rep.Markdown)
-	}
-	var flagged []string
-	for _, a := range rep.Anomalies {
-		if strings.Contains(a, "cone scheduling ineffective") {
-			flagged = append(flagged, a)
+	for _, row := range []string{"| narrow | 400 | 600 | 60.0% |", "| wide | 1000 | 3 | 0.3% |"} {
+		if !strings.Contains(rep.Markdown, row) {
+			t.Fatalf("propagation-footprint table missing row %q:\n%s", row, rep.Markdown)
 		}
 	}
-	if len(flagged) != 1 || !strings.Contains(flagged[0], "wasted") {
-		t.Fatalf("want exactly the %q campaign flagged, got %v", "wasted", rep.Anomalies)
+	if len(rep.Anomalies) != 0 {
+		t.Fatalf("walk footprints alone raised anomalies: %v", rep.Anomalies)
+	}
+}
+
+// TestOrderLabeledDumpStillRenders loads a flight dump written by a
+// runner that still labeled campaigns with a dispatch order ("order":
+// "cone" in the heartbeat): old dumps must stay readable, the obsolete
+// field is ignored, and the walk footprint still renders.
+func TestOrderLabeledDumpStillRenders(t *testing.T) {
+	dump, err := obs.ReadFlightDump(filepath.Join("testdata", "order-cone.flight.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := postmortem.Analyze([]*obs.FlightDump{dump}, postmortem.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.FaultsAnalyzed != 18 {
+		t.Fatalf("report counts %d faults, the dump's campaign analyzed 18", rep.FaultsAnalyzed)
+	}
+	if !strings.Contains(rep.Markdown, "| stuckat c17 | 52 | 56 | 51.9% |") {
+		t.Fatalf("propagation-footprint table missing the dumped campaign:\n%s", rep.Markdown)
 	}
 }
 

@@ -66,13 +66,21 @@ func (l *ExecLauncher) Launch(ctx context.Context, sh Shard) (Worker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("supervise: worker stdin pipe: %w", err)
 	}
-	stdout, err := cmd.StdoutPipe()
+	// The stdout pipe is ours, not cmd.StdoutPipe: Wait closes a
+	// StdoutPipe as soon as the process exits, and Wait runs concurrently
+	// with the reader (see exited), so the worker's final done message
+	// could be dropped unread and a finished shard counted as a death.
+	stdout, stdoutW, err := os.Pipe()
 	if err != nil {
 		stdin.Close()
 		return nil, fmt.Errorf("supervise: worker stdout pipe: %w", err)
 	}
-	if err := cmd.Start(); err != nil {
+	cmd.Stdout = stdoutW
+	err = cmd.Start()
+	stdoutW.Close() // the worker holds its own copy
+	if err != nil {
 		stdin.Close()
+		stdout.Close()
 		return nil, fmt.Errorf("supervise: launch worker for shard %s: %w", sh.Range(), err)
 	}
 	w := &execWorker{cmd: cmd, stdin: stdin, events: readMessages(stdout, l.BadLine)}
