@@ -277,8 +277,8 @@ func main() {
 		}
 		fmt.Printf("faults: %d   detectable: %.1f%%   mean detectability (detectable): %.4f   observed==fed rate: %.3f\n",
 			len(study.Records), 100*study.CoverageRate(), study.MeanDetectable(), study.ObservedEqualsFedRate())
-		fmt.Printf("selective trace: %.1f of %d gates evaluated per fault on average\n",
-			study.MeanGatesEvaluated(), w.NumGates())
+		fmt.Printf("region factoring: %.1f path gates evaluated per fault, %.1f faults per root propagation\n",
+			study.MeanGatesEvaluated(), faultsPerRoot(w, fs))
 		writeCalibJSON(*calibJSON, c.Name, study.Stats)
 		finishCampaign(study.Stats, study.Errors(), study.DegradedFaults())
 	case "and", "or":
@@ -396,6 +396,34 @@ func setupObs(prog, httpAddr, logLevel string, logJSON bool, tracePath, traceFmt
 		}
 	}
 	return o
+}
+
+// faultsPerRoot reports how many stuck-at faults share each fanout-free
+// region root: the faults per root propagation of one engine that runs the
+// whole set between compactions. It is computed from the circuit, not
+// from engine counters, so the line stays identical at any worker count
+// (the runtime count is CampaignStats' root-props under -v).
+func faultsPerRoot(w *netlist.Circuit, fs []faults.StuckAt) float64 {
+	fo := w.Fanout()
+	po := make(map[int]bool, len(w.Outputs))
+	for _, o := range w.Outputs {
+		po[o] = true
+	}
+	roots := map[int]bool{}
+	for _, f := range fs {
+		net := f.Net
+		if f.IsBranch() {
+			net = f.Gate
+		}
+		for len(fo[net]) == 1 && !po[net] {
+			net = fo[net][0]
+		}
+		roots[net] = true
+	}
+	if len(roots) == 0 {
+		return 0
+	}
+	return float64(len(fs)) / float64(len(roots))
 }
 
 // truncateFaults applies -max, warning on stderr when it actually drops

@@ -29,8 +29,10 @@ type StuckAtRecord struct {
 	MaxLevelsToPO int  // paper's Figure 3 X axis
 	LevelFromPI   int  // controllability-side distance
 	IsPOFault     bool
-	// GatesEvaluated counts gates whose difference function was computed;
-	// the rest were skipped by selective trace (§3).
+	// GatesEvaluated counts the binary gates on the fault's path to its
+	// fanout-free region's root whose difference was computed (see
+	// diffprop.Engine.StuckAt); the rest of the circuit is reached through
+	// the root's cached observability.
 	GatesEvaluated int
 	// Approximate marks a record whose Detectability is a random-vector
 	// estimate over EstimateVectors patterns: the exact analysis blew its
@@ -419,10 +421,9 @@ func (s StuckAtStudy) CoverageRate() float64 {
 	return coverageRate(s.Detectabilities())
 }
 
-// MeanGatesEvaluated reports the average number of gates whose difference
-// function was computed per fault — the measured effect of the paper's
-// selective trace remark (calculations are only performed as long as
-// difference information exists).
+// MeanGatesEvaluated reports the average number of path gates whose
+// difference was computed per fault before the fault reached its region's
+// root (or its difference vanished).
 func (s StuckAtStudy) MeanGatesEvaluated() float64 {
 	if len(s.Records) == 0 {
 		return 0

@@ -19,9 +19,9 @@ import (
 // add must equal Merge-summing them into a single diffprop.Stats.
 func TestStatsAggregationMerge(t *testing.T) {
 	parts := []diffprop.Stats{
-		{Analyses: 3, GateEvaluations: 100, Rebuilds: 1, PeakNodes: 500},
-		{Analyses: 5, GateEvaluations: 250, Rebuilds: 0, PeakNodes: 900},
-		{Analyses: 2, GateEvaluations: 75, Rebuilds: 4, PeakNodes: 120},
+		{Analyses: 3, GateEvaluations: 100, RootPropagations: 2, Rebuilds: 1, PeakNodes: 500},
+		{Analyses: 5, GateEvaluations: 250, RootPropagations: 4, Rebuilds: 0, PeakNodes: 900},
+		{Analyses: 2, GateEvaluations: 75, RootPropagations: 1, Rebuilds: 4, PeakNodes: 120},
 	}
 	parts[0].Cache.ApplyHits, parts[0].Cache.ApplyMisses = 10, 20
 	parts[1].Cache.IteHits, parts[1].Cache.NotMisses = 7, 3
@@ -36,7 +36,8 @@ func TestStatsAggregationMerge(t *testing.T) {
 		cs.add(p)
 	}
 	got := cs.EngineStats()
-	if got.GateEvaluations != want.GateEvaluations || got.Rebuilds != want.Rebuilds ||
+	if got.GateEvaluations != want.GateEvaluations || got.RootPropagations != want.RootPropagations ||
+		got.Rebuilds != want.Rebuilds ||
 		got.PeakNodes != want.PeakNodes || got.Cache != want.Cache {
 		t.Fatalf("CampaignStats.add diverged from diffprop.Stats.Merge:\n got %+v\nwant %+v", got, want)
 	}

@@ -154,14 +154,22 @@ type CampaignStats struct {
 	// Faults is the number of faults analyzed.
 	Faults int
 	// GateEvaluations totals the gates whose difference function was
-	// computed across all faults; selective trace skipped the rest.
+	// computed for the faults themselves (for stuck-at faults, the binary
+	// gates on each fault's path to its region root); selective trace
+	// skipped the rest.
 	GateEvaluations int64
-	// GatesVisited totals the gates every propagation loop examined and
+	// GatesVisited totals the gates every worklist walk examined and
 	// GatesSkipped the gates cone-restricted propagation never touched;
-	// their sum is analyses × gate count, and the skipped share is the
-	// structural saving over a full-gate scan.
+	// their sum is walks × gate count (one walk per root propagation or
+	// direct-propagation query), and the skipped share is the structural
+	// saving over a full-gate scan.
 	GatesVisited int64
 	GatesSkipped int64
+	// RootPropagations totals the fanout-free-region root observabilities
+	// the engines computed for stuck-at faults; the other faults of each
+	// region reused a cached one. Per engine, so it grows with the worker
+	// count and with compactions, unlike the records.
+	RootPropagations int
 	// Rebuilds counts generational BDD-manager GC passes over all engines.
 	Rebuilds int
 	// NodesReclaimed totals the dead nodes those GC passes dropped.
@@ -218,6 +226,9 @@ func (s CampaignStats) String() string {
 	if total := s.GatesVisited + s.GatesSkipped; total > 0 && s.GatesSkipped > 0 {
 		out += fmt.Sprintf(" cone-skip=%.1f%%", 100*float64(s.GatesSkipped)/float64(total))
 	}
+	if s.RootPropagations > 0 {
+		out += fmt.Sprintf(" root-props=%d", s.RootPropagations)
+	}
 	if s.Resumed > 0 {
 		out += fmt.Sprintf(" resumed=%d", s.Resumed)
 	}
@@ -257,14 +268,15 @@ func (s CampaignStats) String() string {
 // (one fault may run several).
 func (s *CampaignStats) EngineStats() diffprop.Stats {
 	return diffprop.Stats{
-		GateEvaluations: s.GateEvaluations,
-		GatesVisited:    s.GatesVisited,
-		GatesSkipped:    s.GatesSkipped,
-		Rebuilds:        s.Rebuilds,
-		NodesReclaimed:  s.NodesReclaimed,
-		Sifts:           s.Sifts,
-		PeakNodes:       s.PeakNodes,
-		Cache:           s.Cache,
+		GateEvaluations:  s.GateEvaluations,
+		GatesVisited:     s.GatesVisited,
+		GatesSkipped:     s.GatesSkipped,
+		RootPropagations: s.RootPropagations,
+		Rebuilds:         s.Rebuilds,
+		NodesReclaimed:   s.NodesReclaimed,
+		Sifts:            s.Sifts,
+		PeakNodes:        s.PeakNodes,
+		Cache:            s.Cache,
 	}
 }
 
@@ -276,6 +288,7 @@ func (s *CampaignStats) add(es diffprop.Stats) {
 	s.GateEvaluations = agg.GateEvaluations
 	s.GatesVisited = agg.GatesVisited
 	s.GatesSkipped = agg.GatesSkipped
+	s.RootPropagations = agg.RootPropagations
 	s.Rebuilds = agg.Rebuilds
 	s.NodesReclaimed = agg.NodesReclaimed
 	s.Sifts = agg.Sifts

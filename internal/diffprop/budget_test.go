@@ -44,9 +44,7 @@ func TestFaultBudgetAbortAndRecover(t *testing.T) {
 	// Reference run: unbudgeted results for the first few faults.
 	want := make([]Result, 4)
 	for i := range want {
-		want[i] = e.StuckAt(fs[i])
-		want[i].PerPO = nil // refs die across recoveries; compare scalars
-		want[i].Complete = bdd.False
+		want[i] = scalars(e.StuckAt(fs[i])) // refs die across recoveries
 	}
 
 	// A one-op budget cannot finish any real propagation.
@@ -59,10 +57,7 @@ func TestFaultBudgetAbortAndRecover(t *testing.T) {
 	// unbudgeted reference exactly.
 	e.SetFaultBudget(FaultBudget{Ops: 1 << 40, Wall: time.Minute})
 	for i := range want {
-		got := e.StuckAt(fs[i])
-		got.PerPO = nil
-		got.Complete = bdd.False
-		got.ObservedPOs = append([]int(nil), got.ObservedPOs...)
+		got := scalars(e.StuckAt(fs[i]))
 		if !reflect.DeepEqual(got, want[i]) {
 			t.Fatalf("fault %d: budgeted result %+v != unbudgeted %+v", i, got, want[i])
 		}

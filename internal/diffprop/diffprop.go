@@ -138,6 +138,20 @@ type Engine struct {
 	// feedback screen for bridging faults.
 	reach *faults.Reachability
 
+	// ffrNext is the fanout-free-region table: for a non-PO net feeding
+	// exactly one gate pin it names that consumer gate, and -1 marks a
+	// region root (a stem, a primary output or an unused net). A single
+	// stuck-at fault leaves its region only through the root, which is what
+	// lets StuckAt factor its test set. Built once in New and aliased by
+	// every Share view and Clone.
+	ffrNext []int
+
+	// rootObs caches, per region root, the observability functions of the
+	// root (see rootObservability). Per view, so it needs no lock; entries
+	// are tagged with the table epoch and go stale at the next compaction
+	// or recovery of the shared table.
+	rootObs []rootObs
+
 	// coneBuf and deltaBuf are per-view scratch for the worklist
 	// propagation: the merged fan-out-cone bitset of the current fault's
 	// seed sites, and the per-net difference functions (bdd.False = none).
@@ -203,11 +217,12 @@ type Engine struct {
 	peakNodes      int
 	nodesReclaimed int64
 	sifts          int
+	rootProps      int
 
-	// gatesVisited/gatesSkipped split each analysis's gate walk: visited
-	// gates entered the propagation loop (the fault's merged cone); skipped
-	// gates were proven unreachable from the seed sites and never touched.
-	// lastConeGates is the visited count of the most recent analysis (the
+	// gatesVisited/gatesSkipped split each worklist walk: visited gates
+	// entered the propagation loop (the seeds' merged cone); skipped gates
+	// were proven unreachable from the seed sites and never touched.
+	// lastConeGates is the gate count the most recent analysis walked (the
 	// cone-size sample behind the obs histogram).
 	gatesVisited  int64
 	gatesSkipped  int64
@@ -266,18 +281,25 @@ func (e *Engine) ArmChaosAbort(atOps int64, err error) {
 // often the generational GC ran. Aggregated across workers into
 // analysis.CampaignStats.
 type Stats struct {
-	// Analyses counts difference propagations run (one per fault query).
+	// Analyses counts fault queries answered (one per query).
 	Analyses int
 	// GateEvaluations totals the gates whose difference function was
-	// computed; selective trace skipped the rest.
+	// computed for the queried faults themselves: for a stuck-at fault the
+	// binary gates on its path to the region root, for the other fault
+	// models the gates direct propagation evaluated. Root propagations are
+	// not included, so the count is a pure function of the fault set.
 	GateEvaluations int64
-	// GatesVisited totals the gates the propagation loop examined and
-	// GatesSkipped the gates it never touched: under the cone-restricted
-	// worklist only the seed sites' merged fan-out cone is visited, so
-	// Visited+Skipped = analyses x gate count and Skipped measures the walk
-	// work the cone index saved over a scan of every gate.
+	// GatesVisited totals the gates the worklist propagation examined and
+	// GatesSkipped the gates it never touched: only the seed sites' merged
+	// fan-out cone is visited, so Visited+Skipped = worklist walks x gate
+	// count (one walk per root propagation or direct-DP query) and Skipped
+	// measures the walk work the cone index saved over a scan of every gate.
 	GatesVisited int64
 	GatesSkipped int64
+	// RootPropagations counts the fanout-free-region root observabilities
+	// computed for stuck-at queries; every other stuck-at fault in the
+	// region reused the cached one.
+	RootPropagations int
 	// Rebuilds counts generational GC passes of the BDD manager.
 	Rebuilds int
 	// NodesReclaimed totals the dead nodes those GC passes dropped.
@@ -301,6 +323,7 @@ func (s *Stats) Merge(other Stats) {
 	s.GateEvaluations += other.GateEvaluations
 	s.GatesVisited += other.GatesVisited
 	s.GatesSkipped += other.GatesSkipped
+	s.RootPropagations += other.RootPropagations
 	s.Rebuilds += other.Rebuilds
 	s.NodesReclaimed += other.NodesReclaimed
 	s.Sifts += other.Sifts
@@ -317,15 +340,16 @@ func (e *Engine) Stats() Stats {
 		peak = nc
 	}
 	return Stats{
-		Analyses:        e.analyses,
-		GateEvaluations: e.gateEvals,
-		GatesVisited:    e.gatesVisited,
-		GatesSkipped:    e.gatesSkipped,
-		Rebuilds:        e.rebuilds,
-		NodesReclaimed:  e.nodesReclaimed,
-		Sifts:           e.sifts,
-		PeakNodes:       peak,
-		Cache:           e.m.CacheStats(),
+		Analyses:         e.analyses,
+		GateEvaluations:  e.gateEvals,
+		GatesVisited:     e.gatesVisited,
+		GatesSkipped:     e.gatesSkipped,
+		RootPropagations: e.rootProps,
+		Rebuilds:         e.rebuilds,
+		NodesReclaimed:   e.nodesReclaimed,
+		Sifts:            e.sifts,
+		PeakNodes:        peak,
+		Cache:            e.m.CacheStats(),
 	}
 }
 
@@ -438,8 +462,26 @@ func New(c *netlist.Circuit, opts *Options) (*Engine, error) {
 	// worklist propagation, so it is built eagerly: one reverse-topological
 	// sweep here, aliased by every Share view and Clone thereafter.
 	e.reach = faults.NewReachability(work)
+	e.ffrNext = buildFFRNext(work)
 	e.peakNodes = m.NodeCount()
 	return e, nil
+}
+
+// buildFFRNext computes the fanout-free-region table (see Engine.ffrNext).
+// Fan-out lists hold one entry per consuming pin, so a net read twice by
+// the same gate counts as fan-out 2 and roots its own region.
+func buildFFRNext(c *netlist.Circuit) []int {
+	next := make([]int, c.NumNets())
+	for n, fo := range c.Fanout() {
+		next[n] = -1
+		if len(fo) == 1 {
+			next[n] = fo[0]
+		}
+	}
+	for _, o := range c.Outputs {
+		next[o] = -1
+	}
+	return next
 }
 
 // buildVarToInput computes the BDD-variable-position → primary-input-index
@@ -469,7 +511,8 @@ func buildVarToInput(c *netlist.Circuit, m *bdd.Manager) []int {
 // with the source's syndrome cache and a compact, garbage-free manager.
 // Cloning reads but never mutates the source, so several clones may be
 // taken concurrently — but not while another goroutine is analyzing faults
-// on the source. Runtime counters start at zero.
+// on the source. Runtime counters start at zero and the root
+// observability cache starts empty.
 func (e *Engine) Clone() *Engine {
 	m2 := bdd.New(e.m.Names()...)
 	good2 := e.m.Transfer(m2, e.good...)
@@ -483,6 +526,7 @@ func (e *Engine) Clone() *Engine {
 		synValid:     append([]bool(nil), e.synValid...),
 		varToInput:   e.varToInput,
 		reach:        e.reach,
+		ffrNext:      e.ffrNext,
 		faultBudget:  e.faultBudget,
 		recovery:     e.recovery,
 		lastSiftSize: e.lastSiftSize,
@@ -507,9 +551,9 @@ type sharedState struct {
 // copy, and warm cache entries built by any view serve all of them. The
 // shared views — including the receiver — must bracket every fault query
 // with AnalysisLock, which coordinates concurrent analyses with in-place
-// compaction. Budgets, recovery settings, statistics and the syndrome
-// cache are per-view; the good and varToInput slices are aliased so
-// recovery by one view re-roots all of them.
+// compaction. Budgets, recovery settings, statistics, the syndrome cache
+// and the root observability cache are per-view; the good and varToInput
+// slices are aliased so recovery by one view re-roots all of them.
 func (e *Engine) Share() *Engine {
 	if e.shared == nil {
 		e.shared = &sharedState{lastSiftSize: e.lastSiftSize}
@@ -524,6 +568,7 @@ func (e *Engine) Share() *Engine {
 		synValid:     append([]bool(nil), e.synValid...),
 		varToInput:   e.varToInput,
 		reach:        e.reach,
+		ffrNext:      e.ffrNext,
 		faultBudget:  e.faultBudget,
 		recovery:     e.recovery,
 		shared:       e.shared,
@@ -833,7 +878,8 @@ func (e *Engine) GCNow() {
 
 // Result is the outcome of one fault analysis: the complete test set and
 // the figures derived from it. The BDD references are valid until the
-// next Engine call.
+// table is next compacted (at the latest, the next Engine call);
+// WitnessVector and MinimalTestCube panic on a result that outlived it.
 type Result struct {
 	// PerPO holds the difference function observed at each primary output
 	// (index-aligned with Circuit.Outputs).
@@ -846,8 +892,13 @@ type Result struct {
 	// ObservedPOs lists the output positions with a non-zero difference.
 	ObservedPOs []int
 	// GatesEvaluated counts the gates whose difference function was
-	// actually computed; the rest were skipped by selective trace (§3).
+	// actually computed for this fault; the rest were skipped by selective
+	// trace (§3). For a stuck-at fault these are the binary gates on its
+	// path to the region root (see StuckAt).
 	GatesEvaluated int
+
+	// epoch is the table epoch the refs were built under.
+	epoch uint64
 }
 
 // Detectable reports whether the fault has any test at all; a false value
@@ -860,51 +911,55 @@ type pinKey struct {
 }
 
 // seeds carries everything a propagation can start from: explicit initial
-// difference functions (single stuck-at and bridging faults) and forced
-// constants (multiple stuck-at faults, where a downstream forced site must
-// override whatever difference arrives from upstream faults).
+// difference functions at nets (bridging and gate substitution faults, root
+// observabilities) and forced constants (multiple stuck-at faults, where a
+// downstream forced site must override whatever difference arrives from
+// upstream faults).
 type seeds struct {
 	net      map[int]bdd.Ref
-	pin      map[pinKey]bdd.Ref
 	forceNet map[int]bool
 	forcePin map[pinKey]bool
 }
 
 // pinDelta resolves the difference arriving at one gate input pin:
-// forced-pin constants override pin seeds, which override whatever
-// difference the fan-in net carries (bdd.False for none).
+// forced-pin constants override whatever difference the fan-in net
+// carries (bdd.False for none).
 func (e *Engine) pinDelta(sd seeds, delta []bdd.Ref, id, pin, fanin int) bdd.Ref {
 	if sd.forcePin != nil {
 		if v, ok := sd.forcePin[pinKey{id, pin}]; ok {
 			return e.forcedDelta(fanin, v)
 		}
 	}
-	if sd.pin != nil {
-		if d, ok := sd.pin[pinKey{id, pin}]; ok {
-			return d
-		}
-	}
 	return delta[fanin]
 }
 
-// propagateSeeds is the cone-restricted worklist propagation: it ORs the
+// propagateSeeds answers one fault query by direct difference propagation:
+// the seeds are walked to the primary outputs (walkSeeds) and the complete
+// test set is counted. Bridging, multiple stuck-at and gate substitution
+// faults run here; single stuck-at faults take the factored StuckAt path,
+// for which direct propagation of stuckAtSeeds is the test oracle.
+func (e *Engine) propagateSeeds(sd seeds) Result {
+	e.endPhase(&e.lastPhases.Build)
+	res, visited := e.walkSeeds(sd)
+	return e.finish(res, visited)
+}
+
+// walkSeeds is the cone-restricted worklist propagation: it ORs the
 // packed reachability rows of every seed site into a merged-cone bitset
 // and walks only those nets, in ascending id (= topological) order, so
-// per-fault walk cost is O(|cone|) rather than O(|circuit|). It matches a
-// scan over every gate exactly: a gate outside the merged cone can
-// receive only zero input differences (differences originate at seed
-// sites and flow along fan-out edges, and cones are transitively closed),
-// so a full scan does no BDD work there. Within the cone gates are walked
-// in ascending net id — the topological order Validate guarantees — so
-// the BDD operations are the ones a full scan issues, in the same order.
-// The full scan survives as the test-only reference in worklist_test.go.
-func (e *Engine) propagateSeeds(sd seeds) Result {
-	var clk time.Time
-	if e.phaseClock {
-		clk = time.Now()
-		// Everything between begin() and here built the difference seeds.
-		e.lastPhases.Build = clk.Sub(e.phaseStart)
-	}
+// per-walk cost is O(|cone|) rather than O(|circuit|). It matches a scan
+// over every gate exactly: a gate outside the merged cone can receive only
+// zero input differences (differences originate at seed sites and flow
+// along fan-out edges, and cones are transitively closed), so a full scan
+// does no BDD work there. Within the cone gates are walked in ascending
+// net id — the topological order Validate guarantees — so the BDD
+// operations are the ones a full scan issues, in the same order. The full
+// scan survives as the test-only reference in worklist_test.go.
+//
+// The result carries the per-PO differences, their union and the
+// selective-trace gate count; visited is the number of gates walked, which
+// is also booked into the engine's walk footprint.
+func (e *Engine) walkSeeds(sd seeds) (res Result, visited int) {
 	m := e.m
 	c := e.Circuit
 	n := c.NumNets()
@@ -956,13 +1011,10 @@ func (e *Engine) propagateSeeds(sd seeds) Result {
 			}
 		}
 	}
-	for k := range sd.pin {
-		mark(k.gate)
-	}
 	for k := range sd.forcePin {
 		mark(k.gate)
 	}
-	evaluated, visited := 0, 0
+	evaluated := 0
 	for w, wbits := range cone {
 		for wbits != 0 {
 			id := w*64 + bits.TrailingZeros64(wbits)
@@ -1025,7 +1077,7 @@ func (e *Engine) propagateSeeds(sd seeds) Result {
 			}
 		}
 	}
-	res := Result{PerPO: make([]bdd.Ref, len(c.Outputs)), Complete: bdd.False, GatesEvaluated: evaluated}
+	res = Result{PerPO: make([]bdd.Ref, len(c.Outputs)), Complete: bdd.False, GatesEvaluated: evaluated}
 	for i, o := range c.Outputs {
 		// An unvisited, unseeded net holds the zero Ref, which is
 		// bdd.False: a difference that never reached this output.
@@ -1036,48 +1088,161 @@ func (e *Engine) propagateSeeds(sd seeds) Result {
 			res.Complete = m.Or(res.Complete, d)
 		}
 	}
-	if e.phaseClock {
-		now := time.Now()
-		e.lastPhases.Propagate = now.Sub(clk)
-		clk = now
-	}
-	res.Detectability = m.SatFrac(res.Complete)
-	if e.phaseClock {
-		e.lastPhases.SatCount = time.Since(clk)
-	}
-	e.analyses++
-	e.gateEvals += int64(evaluated)
 	e.gatesVisited += int64(visited)
 	e.gatesSkipped += int64(c.NumGates() - visited)
-	e.lastConeGates = visited
-	if nc := m.NodeCount(); nc > e.peakNodes {
+	return res, visited
+}
+
+// endPhase closes the running analysis phase into d and starts the next
+// one (no-op unless phase timing is on).
+func (e *Engine) endPhase(d *time.Duration) {
+	if e.phaseClock {
+		now := time.Now()
+		*d = now.Sub(e.phaseStart)
+		e.phaseStart = now
+	}
+}
+
+// finish closes a fault query: it counts the complete test set, books the
+// query's counters and stamps the result with the table epoch its refs
+// belong to. walked is the number of gates the query walked (the cone-size
+// sample behind LastConeGates).
+func (e *Engine) finish(res Result, walked int) Result {
+	e.endPhase(&e.lastPhases.Propagate)
+	res.Detectability = e.m.SatFrac(res.Complete)
+	e.endPhase(&e.lastPhases.SatCount)
+	e.analyses++
+	e.gateEvals += int64(res.GatesEvaluated)
+	e.lastConeGates = walked
+	if nc := e.m.NodeCount(); nc > e.peakNodes {
 		e.peakNodes = nc
 	}
+	res.epoch = e.m.TableEpoch()
 	return res
 }
 
-// StuckAt computes the complete test set for a single stuck-at fault
-// (net or fan-out-branch site) in the working circuit.
-func (e *Engine) StuckAt(f faults.StuckAt) Result {
-	return e.propagateSeeds(e.stuckAtSeeds(f))
+// rootObs is one cached root observability: the difference each primary
+// output sees when the root alone is inverted (perPO), and their union.
+type rootObs struct {
+	epoch uint64
+	perPO []bdd.Ref
+	obs   bdd.Ref
 }
 
-// stuckAtSeeds opens the analysis and builds the fault's difference seed.
-// Like every *Seeds builder it calls begin first, so seed construction is
-// metered with the propagation as one unit.
-func (e *Engine) stuckAtSeeds(f faults.StuckAt) seeds {
+// rootObservability returns the observability functions of a region root,
+// propagating a constant-true difference from the root through the
+// worklist on a cache miss. Entries are tagged with the table epoch: any
+// compaction, recovery or sift — including one run by a sibling Share
+// view — renumbers the nodes and so invalidates them. A fill runs inside
+// the querying fault's budget meter, and one that aborts leaves no entry.
+// Cached refs are not GC roots; they stay valid exactly as long as the
+// epoch does, because nothing is freed between compactions.
+func (e *Engine) rootObservability(root int) (ent *rootObs, walked int) {
+	if e.rootObs == nil {
+		e.rootObs = make([]rootObs, e.Circuit.NumNets())
+	}
+	ent = &e.rootObs[root]
+	epoch := e.m.TableEpoch()
+	if ent.perPO != nil && ent.epoch == epoch {
+		return ent, 0
+	}
+	res, walked := e.walkSeeds(seeds{net: map[int]bdd.Ref{root: bdd.True}})
+	e.rootProps++
+	*ent = rootObs{epoch: epoch, perPO: res.PerPO, obs: res.Complete}
+	return ent, walked
+}
+
+// factored answers a single-difference query by fanout-free-region
+// factoring. The difference d enters the circuit at a net (gate < 0) or at
+// one input pin of gate; it is carried along the region's unique path to
+// the root with the single-input Table 1 rules (AND/NAND: d ∧ f_other,
+// OR/NOR: d ∧ ¬f_other, XOR/XNOR/NOT/BUFF: d), giving Δ_root, and the
+// result is Δ_root ∧ Obs(root) at every output. This equals direct
+// propagation exactly: seeding Δ_root at the root yields Δ_root ∧ D_n at
+// every net n, where D_n is what seeding True yields, because Δ∧
+// distributes over ⊕ and Δ∧Δ = Δ in each Table 1 identity. Nothing else
+// in the circuit depends on the region's internal nets, so the root is the
+// fault's only way out.
+func (e *Engine) factored(d bdd.Ref, net, gate, pin int) Result {
+	m := e.m
+	c := e.Circuit
+	evaluated, walked := 0, 0
+	if gate < 0 {
+		gate, pin = e.consumer(net)
+	}
+	for gate >= 0 && d != bdd.False {
+		g := &c.Gates[gate]
+		walked++
+		switch g.Type {
+		case netlist.And, netlist.Nand:
+			evaluated++
+			d = m.And(e.good[g.Fanin[1-pin]], d)
+		case netlist.Or, netlist.Nor:
+			evaluated++
+			d = m.And(m.Not(e.good[g.Fanin[1-pin]]), d)
+		case netlist.Xor, netlist.Xnor:
+			evaluated++
+		case netlist.Not, netlist.Buff:
+		default:
+			panic(fmt.Sprintf("diffprop: unexpected gate type %v", g.Type))
+		}
+		net = gate
+		gate, pin = e.consumer(net)
+	}
+	e.endPhase(&e.lastPhases.Build)
+	res := Result{PerPO: make([]bdd.Ref, len(c.Outputs)), Complete: bdd.False, GatesEvaluated: evaluated}
+	if d != bdd.False {
+		root, fill := e.rootObservability(net)
+		walked += fill
+		res.Complete = m.And(d, root.obs)
+		for i, o := range root.perPO {
+			if o == bdd.False {
+				continue
+			}
+			if p := m.And(d, o); p != bdd.False {
+				res.PerPO[i] = p
+				res.ObservedPOs = append(res.ObservedPOs, i)
+			}
+		}
+	}
+	return e.finish(res, walked)
+}
+
+// consumer returns the sole consumer gate of a net inside a fanout-free
+// region and the pin that reads it, or gate -1 when the net is a root.
+func (e *Engine) consumer(net int) (gate, pin int) {
+	gate = e.ffrNext[net]
+	if gate < 0 {
+		return -1, -1
+	}
+	if e.Circuit.Gates[gate].Fanin[0] == net {
+		return gate, 0
+	}
+	return gate, 1
+}
+
+// StuckAt computes the complete test set for a single stuck-at fault
+// (net or fan-out-branch site) in the working circuit. The fault's
+// excitation (f for stuck-at-0, ¬f for stuck-at-1) is carried to its
+// fanout-free region's root and ANDed with the root's cached per-output
+// observability (see factored): one propagation per region serves every
+// fault in it, in both polarities. The result is identical to direct
+// difference propagation of the fault, which the tests check.
+func (e *Engine) StuckAt(f faults.StuckAt) Result {
 	e.begin()
-	fl := e.good[f.Net]
-	var d bdd.Ref
+	if f.IsBranch() {
+		return e.factored(e.excitation(f), f.Net, f.Gate, f.Pin)
+	}
+	return e.factored(e.excitation(f), f.Net, -1, -1)
+}
+
+// excitation is a stuck-at fault's difference at its site: stuck-at-0
+// differs wherever the line is 1, stuck-at-1 wherever it is 0.
+func (e *Engine) excitation(f faults.StuckAt) bdd.Ref {
 	if f.Stuck {
-		d = e.m.Not(fl) // stuck-at-1 differs wherever the line is 0
-	} else {
-		d = fl // stuck-at-0 differs wherever the line is 1
+		return e.m.Not(e.good[f.Net])
 	}
-	if !f.IsBranch() {
-		return seeds{net: map[int]bdd.Ref{f.Net: d}}
-	}
-	return seeds{pin: map[pinKey]bdd.Ref{{f.Gate, f.Pin}: d}}
+	return e.good[f.Net]
 }
 
 // forcedDelta returns the difference of a line forced to the constant v:
@@ -1220,55 +1385,35 @@ func (e *Engine) bridgingSeeds(b faults.Bridging) seeds {
 // Observability computes the exact observability function of a net: the
 // set of input vectors under which inverting the net changes at least one
 // primary output — the OR over outputs of the Boolean difference. It is
-// obtained by seeding a constant-true difference at the net, which is how
-// the CATAPULT-style factored approach (the paper's §3 contrast) derives
-// test sets as excitation ∧ observability. For a net fault,
+// the CATAPULT-style factor of the paper's §3 contrast, under which test
+// sets are excitation ∧ observability:
 //
-//	T(SA0) = f_net ∧ Obs(net),   T(SA1) = ¬f_net ∧ Obs(net),
+//	T(SA0) = f_net ∧ Obs(net),   T(SA1) = ¬f_net ∧ Obs(net).
 //
-// which FactoredStuckAt exploits and the tests verify against the direct
-// difference propagation.
+// It runs the same region factoring as StuckAt with a constant-true
+// difference, so it shares the engine's cached root observabilities.
 func (e *Engine) Observability(net int) bdd.Ref {
 	e.begin()
-	return e.propagateSeeds(seeds{net: map[int]bdd.Ref{net: bdd.True}}).Complete
+	return e.factored(bdd.True, net, -1, -1).Complete
 }
 
-// PinObservability is Observability for a single fan-out branch: the set
-// of vectors under which inverting only that gate input pin is visible at
-// some primary output.
-func (e *Engine) PinObservability(gate, pin int) bdd.Ref {
-	e.begin()
-	return e.propagateSeeds(seeds{pin: map[pinKey]bdd.Ref{{gate, pin}: bdd.True}}).Complete
-}
-
-// FactoredStuckAt computes a stuck-at fault's complete test set the
-// CATAPULT way — observability function ANDed with the excitation
-// condition — rather than by propagating the fault's own difference. The
-// result is identical to StuckAt (verified in tests); the method exists
-// as the baseline DP is contrasted with, and because a net's
-// observability can be shared across both polarities.
-func (e *Engine) FactoredStuckAt(f faults.StuckAt) Result {
-	var obs bdd.Ref
-	if f.IsBranch() {
-		obs = e.PinObservability(f.Gate, f.Pin)
-	} else {
-		obs = e.Observability(f.Net)
+// checkFresh panics when res was computed before the table's most recent
+// compaction: its refs would name renumbered nodes, i.e. silently
+// different functions or none at all.
+func (e *Engine) checkFresh(res Result, op string) {
+	if now := e.m.TableEpoch(); res.epoch != now {
+		panic(fmt.Sprintf("diffprop: %s on a stale result: computed at table epoch %d, table is at epoch %d",
+			op, res.epoch, now))
 	}
-	m := e.m
-	exc := e.good[f.Net]
-	if f.Stuck {
-		exc = m.Not(exc)
-	}
-	complete := m.And(exc, obs)
-	res := Result{Complete: complete, Detectability: m.SatFrac(complete)}
-	return res
 }
 
 // WitnessVector extracts one test vector (primary-input declaration
 // order) from a result's complete test set, filling don't-cares with
 // zero. It returns nil for undetectable faults. Only meaningful without
-// functional decomposition (cut variables are ignored).
+// functional decomposition (cut variables are ignored). It panics when the
+// table has been compacted since res was computed.
 func (e *Engine) WitnessVector(res Result) []bool {
+	e.checkFresh(res, "WitnessVector")
 	cube := e.m.AnySat(res.Complete)
 	if cube == nil {
 		return nil
@@ -1289,8 +1434,9 @@ func (e *Engine) WitnessVector(res Result) []bool {
 // set is dropped. The result (one entry per BDD variable: 0, 1, or -1)
 // is a cube all of whose completions are tests — handy for test-set
 // compaction and for human-readable fault reports. Returns nil for
-// undetectable faults.
+// undetectable faults; panics, like WitnessVector, on a stale result.
 func (e *Engine) MinimalTestCube(res Result) []int8 {
+	e.checkFresh(res, "MinimalTestCube")
 	m := e.m
 	cube := m.AnySat(res.Complete)
 	if cube == nil {

@@ -1,11 +1,16 @@
 package diffprop
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/bdd"
 	"repro/internal/circuits"
@@ -479,20 +484,171 @@ func TestMinimalTestCube(t *testing.T) {
 	}
 }
 
-func TestFactoredStuckAtMatchesDifferencePropagation(t *testing.T) {
-	// The CATAPULT-style factored form (excitation ∧ observability) must
-	// produce the identical complete test set BDD as direct difference
-	// propagation — the two methods the paper contrasts in §3.
-	for _, name := range []string{"c17", "fadd", "c95s", "alu181"} {
-		e := newEngine(t, name)
-		w := e.Circuit
-		for _, f := range faults.CheckpointStuckAts(w) {
-			direct := e.StuckAt(f).Complete
-			factored := e.FactoredStuckAt(f).Complete
-			if direct != factored {
-				t.Fatalf("%s %v: factored and direct test sets differ", name, f.Describe(w))
-			}
+// checkFactored runs one fault both ways on e — the factored StuckAt and
+// direct propagation of the fault's own seed — and reports any difference
+// in detectability, observed outputs or per-PO difference functions. The
+// reference runs with compaction held off so both queries land in the
+// same table epoch and their refs are comparable; StuckAt itself still
+// compacts on entry whenever the engine's limit says so.
+func checkFactored(e *Engine, f faults.StuckAt) error {
+	got := e.StuckAt(f)
+	limit := e.rebuildLimit
+	e.rebuildLimit = math.MaxInt
+	want := e.directStuckAt(f)
+	e.rebuildLimit = limit
+	if got.epoch != want.epoch {
+		return fmt.Errorf("%s: queries straddle a compaction (epochs %d, %d)", f.Describe(e.Circuit), got.epoch, want.epoch)
+	}
+	if got.Detectability != want.Detectability || got.Complete != want.Complete ||
+		!reflect.DeepEqual(got.ObservedPOs, want.ObservedPOs) || !reflect.DeepEqual(got.PerPO, want.PerPO) {
+		return fmt.Errorf("%s: factored %v (observed %v) != direct %v (observed %v)", f.Describe(e.Circuit),
+			got.Detectability, got.ObservedPOs, want.Detectability, want.ObservedPOs)
+	}
+	return nil
+}
+
+// TestStuckAtMatchesDirectPropagation is the exactness property of the
+// fanout-free-region factoring: for every stuck-at fault on every net and
+// every branch, StuckAt (Δ_root ∧ cached Obs(root)) must equal direct
+// difference propagation bit for bit. It runs three ways: on a default
+// engine; under a rebuild limit so small that the table is compacted
+// before every fault, so each cached root observability goes stale before
+// its region's next fault; and on two Share views analyzing concurrently
+// while a third goroutine keeps compacting the shared table. c1355s joins
+// the default way outside -short; the other two ways compact thousands of
+// times and stay on the smaller circuits. Under the race detector the
+// sweep stops at c432s: the larger circuits add BDD work, not concurrency.
+func TestStuckAtMatchesDirectPropagation(t *testing.T) {
+	names := []string{"c17", "fadd", "c95s", "alu181", "c432s"}
+	if !raceEnabled {
+		names = append(names, "c499s")
+		if !testing.Short() {
+			names = append(names, "c1355s")
 		}
+	}
+	for _, name := range names {
+		t.Run(name+"/default", func(t *testing.T) {
+			e := newEngine(t, name)
+			for _, f := range faults.AllStuckAts(e.Circuit) {
+				if err := checkFactored(e, f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if s := e.Stats(); s.RootPropagations == 0 || 2*s.RootPropagations >= s.Analyses {
+				t.Fatalf("%d root propagations for %d analyses: regions do not share their root",
+					s.RootPropagations, s.Analyses)
+			}
+		})
+		if name == "c1355s" {
+			continue
+		}
+		t.Run(name+"/compacting", func(t *testing.T) {
+			e, err := New(circuits.MustGet(name), &Options{RebuildLimit: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs := faults.AllStuckAts(e.Circuit)
+			for _, f := range fs {
+				if err := checkFactored(e, f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if e.Rebuilds() < len(fs) {
+				t.Fatalf("%d compactions for %d faults: the limit did not force one per fault", e.Rebuilds(), len(fs))
+			}
+		})
+		t.Run(name+"/shared", func(t *testing.T) {
+			base := newEngine(t, name)
+			views := []*Engine{base.Share(), base.Share()}
+			fs := faults.AllStuckAts(base.Circuit)
+			stop, collections := make(chan struct{}), make(chan int)
+			go func() {
+				n := 0
+				for {
+					select {
+					case <-stop:
+						collections <- n
+						return
+					default:
+						base.GCNow()
+						n++
+						time.Sleep(time.Millisecond)
+					}
+				}
+			}()
+			errs := make([]error, len(views))
+			var wg sync.WaitGroup
+			for w, v := range views {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					// The views split each net's faults between them, so both
+					// reach every region while the collector renumbers the
+					// table under them.
+					for i := w; i < len(fs); i += len(views) {
+						unlock := v.AnalysisLock()
+						errs[w] = checkFactored(v, fs[i])
+						unlock()
+						if errs[w] != nil {
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(stop)
+			if n := <-collections; n == 0 {
+				t.Fatal("the collector never ran")
+			}
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestStaleResultFailsLoudly checks the epoch stamp on results: witness
+// extraction from a result that outlived a compaction must panic naming
+// both epochs, while a fresh result's witness must detect its fault in the
+// 64-way bit-parallel simulator.
+func TestStaleResultFailsLoudly(t *testing.T) {
+	e := newEngine(t, "c432s")
+	w := e.Circuit
+	var detectable faults.StuckAt
+	for _, f := range faults.CheckpointStuckAts(w) {
+		res := e.StuckAt(f)
+		vec := e.WitnessVector(res)
+		if vec == nil {
+			if res.Detectable() {
+				t.Fatalf("%s: detectable fault without witness", f.Describe(w))
+			}
+			continue
+		}
+		detectable = f
+		pv := simulate.FromVectors(len(w.Inputs), [][]bool{vec})
+		if simulate.CountBits(simulate.DetectStuckAt(w, f, pv)) != 1 {
+			t.Fatalf("%s: witness does not detect the fault", f.Describe(w))
+		}
+	}
+
+	res := e.StuckAt(detectable)
+	e.GCNow()
+	for name, use := range map[string]func(){
+		"WitnessVector":   func() { e.WitnessVector(res) },
+		"MinimalTestCube": func() { e.MinimalTestCube(res) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				want := fmt.Sprintf("computed at table epoch %d, table is at epoch %d", res.epoch, e.Manager().TableEpoch())
+				if !strings.Contains(msg, name) || !strings.Contains(msg, want) {
+					t.Fatalf("%s on a stale result: panic %q, want one naming %q", name, msg, want)
+				}
+			}()
+			use()
+		}()
 	}
 }
 

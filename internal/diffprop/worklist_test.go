@@ -61,9 +61,6 @@ func (e *Engine) propagateSeedsFullScan(sd seeds) Result {
 			if v, ok := sd.forcePin[pinKey{id, pin}]; ok {
 				return e.forcedDelta(g.Fanin[pin], v)
 			}
-			if d, ok := sd.pin[pinKey{id, pin}]; ok {
-				return d
-			}
 			if d, ok := delta[g.Fanin[pin]]; ok {
 				return d
 			}
@@ -140,6 +137,26 @@ func (e *Engine) propagateSeedsFullScan(sd seeds) Result {
 		e.peakNodes = nc
 	}
 	return res
+}
+
+// stuckAtSeeds opens the analysis and builds a stuck-at fault's
+// difference seed for direct propagation — the reference the factored
+// StuckAt is checked against. A branch fault is seeded as a forced pin,
+// whose difference at that pin is the fault's excitation. Like every
+// *Seeds builder it calls begin first, so seed construction is metered
+// with the propagation as one unit.
+func (e *Engine) stuckAtSeeds(f faults.StuckAt) seeds {
+	e.begin()
+	if f.IsBranch() {
+		return seeds{forcePin: map[pinKey]bool{{f.Gate, f.Pin}: f.Stuck}}
+	}
+	return seeds{net: map[int]bdd.Ref{f.Net: e.excitation(f)}}
+}
+
+// directStuckAt answers a stuck-at query by direct difference propagation
+// of the fault's own seed through the production worklist.
+func (e *Engine) directStuckAt(f faults.StuckAt) Result {
+	return e.propagateSeeds(e.stuckAtSeeds(f))
 }
 
 // pair builds two independent engines over the same circuit: one for the
@@ -305,13 +322,14 @@ func TestWorklistBudgetAbortMatchesFullScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := ec.StuckAt(f)
+		want := ec.directStuckAt(f)
 		cost := ec.AnalysisOps()
 		if cost < 4 {
 			continue
 		}
 		tested++
-		want.PerPO, want.Complete = nil, bdd.False // refs are engine-local
+		// Refs and their epoch stamp are engine-local.
+		want.PerPO, want.Complete, want.epoch = nil, bdd.False, 0
 
 		wl, fsv := pair(t, c)
 		paths := []struct {
@@ -319,7 +337,7 @@ func TestWorklistBudgetAbortMatchesFullScan(t *testing.T) {
 			e    *Engine
 			run  func() Result
 		}{
-			{"worklist", wl, func() Result { return wl.StuckAt(f) }},
+			{"worklist", wl, func() Result { return wl.directStuckAt(f) }},
 			{"full scan", fsv, func() Result { return fsv.propagateSeedsFullScan(fsv.stuckAtSeeds(f)) }},
 		}
 		budget := FaultBudget{Ops: cost / 2}
@@ -346,7 +364,7 @@ func TestWorklistBudgetAbortMatchesFullScan(t *testing.T) {
 			if abort != nil {
 				t.Fatalf("%v: %s relaxed retry aborted with %v", f.Describe(c), p.name, abort)
 			}
-			got.PerPO, got.Complete = nil, bdd.False
+			got.PerPO, got.Complete, got.epoch = nil, bdd.False, 0
 			got.ObservedPOs = append([]int(nil), got.ObservedPOs...)
 			want.ObservedPOs = append([]int(nil), want.ObservedPOs...)
 			if !reflect.DeepEqual(got, want) {
