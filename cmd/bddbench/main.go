@@ -6,11 +6,12 @@
 //
 //   - Micro: apply (And), ITE, and SatCount throughput on randomized
 //     functions over a single manager — the raw cost of the
-//     complement-edge node store and its operation caches.
-//   - Campaign: a stuck-at mini-campaign on a chosen circuit, run twice —
-//     once with all workers sharing one node table (the default) and once
-//     with per-worker cloned managers (CampaignConfig.Isolate) — and
-//     compared on wall-clock throughput and peak heap.
+//     complement-edge node store and its operation cache. And and ITE are
+//     reported per top-level call and per charged ITE step, the unit of
+//     BDD work every budget counts.
+//   - Campaign: a stuck-at mini-campaign on a chosen circuit, run at one
+//     worker and at -workers N, each worker on its own BDD store, and
+//     compared on throughput, peak heap and charged ITE steps per fault.
 //
 // Usage:
 //
@@ -33,6 +34,7 @@ import (
 	"repro/internal/circuits"
 	"repro/internal/faults"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 )
 
 // report is the schema of the emitted JSON.
@@ -43,25 +45,28 @@ type report struct {
 	GoVersion string  `json:"go_version"`
 	NumCPU    int     `json:"num_cpu"`
 	Micro     micro   `json:"micro"`
-	Shared    campRun `json:"shared"`
-	Isolated  campRun `json:"isolated"`
-	// SpeedupShared is isolated wall / shared wall (>1 means the shared
-	// backend is faster); HeapRatio is isolated peak heap / shared peak
-	// heap (>1 means the shared backend is leaner).
-	SpeedupShared float64 `json:"speedup_shared"`
-	HeapRatio     float64 `json:"heap_ratio"`
+	Serial    campRun `json:"serial"`
+	Parallel  campRun `json:"parallel"`
+	// Speedup is serial wall / parallel wall (>1 means the workers pay
+	// off); HeapRatio is parallel peak heap / serial peak heap.
+	Speedup   float64 `json:"speedup"`
+	HeapRatio float64 `json:"heap_ratio"`
 }
 
 type micro struct {
 	ApplyNsPerOp    float64 `json:"apply_ns_per_op"`
+	ApplyNsPerStep  float64 `json:"apply_ns_per_step"`
 	IteNsPerOp      float64 `json:"ite_ns_per_op"`
+	IteNsPerStep    float64 `json:"ite_ns_per_step"`
 	SatCountNsPerOp float64 `json:"satcount_ns_per_op"`
 }
 
 type campRun struct {
+	Workers       int     `json:"workers"`
 	WallMs        float64 `json:"wall_ms"`
 	FaultsPerSec  float64 `json:"faults_per_sec"`
 	PeakHeapBytes uint64  `json:"peak_heap_bytes"`
+	OpsPerFault   float64 `json:"ops_per_fault"`
 	PeakNodes     int     `json:"peak_nodes"`
 	Rebuilds      int     `json:"rebuilds"`
 	CacheHitRate  float64 `json:"cache_hit_rate"`
@@ -91,23 +96,21 @@ func main() {
 	}
 	rep.Faults = len(fs)
 
-	// Isolated first, then shared, each from a collected heap baseline:
-	// run order must not let one mode's garbage inflate the other's peak.
-	rep.Isolated = campaignBench(c, fs, *workers, true)
-	rep.Shared = campaignBench(c, fs, *workers, false)
-	if rep.Shared.WallMs > 0 {
-		rep.SpeedupShared = rep.Isolated.WallMs / rep.Shared.WallMs
+	rep.Serial = campaignBench(c, fs, 1)
+	rep.Parallel = campaignBench(c, fs, *workers)
+	if rep.Parallel.WallMs > 0 {
+		rep.Speedup = rep.Serial.WallMs / rep.Parallel.WallMs
 	}
-	if rep.Shared.PeakHeapBytes > 0 {
-		rep.HeapRatio = float64(rep.Isolated.PeakHeapBytes) / float64(rep.Shared.PeakHeapBytes)
+	if rep.Serial.PeakHeapBytes > 0 {
+		rep.HeapRatio = float64(rep.Parallel.PeakHeapBytes) / float64(rep.Serial.PeakHeapBytes)
 	}
 
 	fmt.Fprintf(os.Stderr,
-		"bddbench %s workers=%d faults=%d: shared %.0fms (peak %s, %d nodes), isolated %.0fms (peak %s, %d nodes) -> speedup %.2fx, heap ratio %.2fx\n",
-		*circuit, *workers, rep.Faults,
-		rep.Shared.WallMs, fmtBytes(rep.Shared.PeakHeapBytes), rep.Shared.PeakNodes,
-		rep.Isolated.WallMs, fmtBytes(rep.Isolated.PeakHeapBytes), rep.Isolated.PeakNodes,
-		rep.SpeedupShared, rep.HeapRatio)
+		"bddbench %s faults=%d: 1 worker %.1f faults/s (peak %s, %.0f ops/fault), %d workers %.1f faults/s (peak %s, %.0f ops/fault) -> speedup %.2fx, heap ratio %.2fx; And %.1f ns/step, ITE %.1f ns/step\n",
+		*circuit, rep.Faults,
+		rep.Serial.FaultsPerSec, fmtBytes(rep.Serial.PeakHeapBytes), rep.Serial.OpsPerFault,
+		rep.Parallel.Workers, rep.Parallel.FaultsPerSec, fmtBytes(rep.Parallel.PeakHeapBytes), rep.Parallel.OpsPerFault,
+		rep.Speedup, rep.HeapRatio, rep.Micro.ApplyNsPerStep, rep.Micro.IteNsPerStep)
 
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -125,7 +128,9 @@ func main() {
 
 // microBench measures raw backend operation cost on randomized minterm
 // functions: the per-call amortized cost of And, Ite, and SatCount
-// including cache effects, which is how campaigns actually use them.
+// including cache effects, which is how campaigns actually use them. A
+// top-level And of 20-variable functions runs hundreds of ITE steps, so
+// And and Ite are also reported per step charged to the manager.
 func microBench() micro {
 	const (
 		vars   = 20
@@ -152,45 +157,39 @@ func microBench() micro {
 		fn[i] = acc
 	}
 
-	ops := 0
-	t0 := time.Now()
-	for r := 0; r < rounds; r++ {
-		for i := 0; i < funcs; i++ {
-			m.And(fn[i], fn[(i+1+r)%funcs])
-			ops++
+	// timed runs op over every (round, function) pair and returns the ns
+	// per call and per charged ITE step.
+	timed := func(op func(r, i int)) (perOp, perStep float64) {
+		m.ClearBudget() // zeroes the charge meter
+		calls := 0
+		t0 := time.Now()
+		for r := 0; r < rounds; r++ {
+			for i := 0; i < funcs; i++ {
+				op(r, i)
+				calls++
+			}
 		}
+		ns := float64(time.Since(t0).Nanoseconds())
+		return ns / float64(calls), ns / float64(max(m.OpsCharged(), 1))
 	}
-	applyNs := float64(time.Since(t0).Nanoseconds()) / float64(ops)
-
-	ops = 0
-	t0 = time.Now()
-	for r := 0; r < rounds; r++ {
-		for i := 0; i < funcs; i++ {
-			m.Ite(fn[i], fn[(i+1+r)%funcs], fn[(i+2+r)%funcs])
-			ops++
-		}
-	}
-	iteNs := float64(time.Since(t0).Nanoseconds()) / float64(ops)
-
-	ops = 0
-	t0 = time.Now()
-	for r := 0; r < rounds; r++ {
-		for i := 0; i < funcs; i++ {
-			m.SatCount(fn[i])
-			ops++
-		}
-	}
-	satNs := float64(time.Since(t0).Nanoseconds()) / float64(ops)
-
-	return micro{ApplyNsPerOp: applyNs, IteNsPerOp: iteNs, SatCountNsPerOp: satNs}
+	var mi micro
+	mi.ApplyNsPerOp, mi.ApplyNsPerStep = timed(func(r, i int) {
+		m.And(fn[i], fn[(i+1+r)%funcs])
+	})
+	mi.IteNsPerOp, mi.IteNsPerStep = timed(func(r, i int) {
+		m.Ite(fn[i], fn[(i+1+r)%funcs], fn[(i+2+r)%funcs])
+	})
+	mi.SatCountNsPerOp, _ = timed(func(_, i int) { m.SatCount(fn[i]) })
+	return mi
 }
 
-// campaignBench runs one stuck-at campaign and reports wall clock plus the
+// campaignBench runs one stuck-at campaign and reports wall clock, the
 // peak live heap observed by a high-frequency sampler (HeapAlloc tracks
-// the node chunks and caches directly). The heap is garbage-collected to
-// a common baseline first so one mode's leftovers cannot inflate the
-// other's peak.
-func campaignBench(c *netlist.Circuit, fs []faults.StuckAt, workers int, isolate bool) campRun {
+// the node chunks and caches directly) and the ITE steps charged per
+// fault, read from the campaign's flight recorder. The heap is
+// garbage-collected to a common baseline first so one run's leftovers
+// cannot inflate the next one's peak.
+func campaignBench(c *netlist.Circuit, fs []faults.StuckAt, workers int) campRun {
 	runtime.GC()
 	var peak atomic.Uint64
 	stopSampler := make(chan struct{})
@@ -213,10 +212,11 @@ func campaignBench(c *netlist.Circuit, fs []faults.StuckAt, workers int, isolate
 		}
 	}()
 
+	flight := obs.NewFlightRecorder(0)
 	t0 := time.Now()
 	study, err := analysis.RunStuckAtCampaign(c, nil, fs, analysis.CampaignConfig{
 		Workers: workers,
-		Isolate: isolate,
+		Obs:     &obs.Observer{Flight: flight},
 	})
 	wall := time.Since(t0)
 	close(stopSampler)
@@ -224,10 +224,21 @@ func campaignBench(c *netlist.Circuit, fs []faults.StuckAt, workers int, isolate
 	if err != nil {
 		fatal(err)
 	}
+	if _, dropped := flight.Total(); dropped > 0 {
+		fatal(fmt.Errorf("flight recorder dropped %d events; ops per fault would be short", dropped))
+	}
+	var ops int64
+	for _, ev := range flight.Snapshot() {
+		if ev.Kind == "fault" {
+			ops += ev.B
+		}
+	}
 	st := study.Stats
 	run := campRun{
+		Workers:       st.Workers,
 		WallMs:        float64(wall.Microseconds()) / 1e3,
 		PeakHeapBytes: peak.Load(),
+		OpsPerFault:   float64(ops) / float64(max(len(fs), 1)),
 		PeakNodes:     st.PeakNodes,
 		Rebuilds:      st.Rebuilds,
 		CacheHitRate:  st.Cache.HitRate(),

@@ -96,7 +96,6 @@ func (in *campaignInstr) setup(engines []*diffprop.Engine) {
 		}
 	}
 	if len(engines) > 0 {
-		in.cm.BDDTableViews.Set(int64(engines[0].Manager().Views()))
 		_, buckets := engines[0].Manager().TableLoad()
 		in.cm.BDDTableBuckets.Set(buckets)
 	}

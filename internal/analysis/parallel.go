@@ -11,14 +11,13 @@
 // index-aligned and bit-identical to the serial runners (each fault is
 // analyzed exactly, by the same record builder).
 //
-// Workers no longer pay full BDD re-synthesis or even per-worker node
-// stores: one prototype engine is built with diffprop.New and every other
-// worker receives a diffprop.Engine.Share — a view onto the same
-// complement-edge manager, whose sharded unique table and lossy operation
-// caches are safe for concurrent use. Every canonical function is built
-// once, campaign-wide. CampaignConfig.Isolate restores the historical
-// diffprop.Engine.Clone path (a structural manager-to-manager copy per
-// worker) for isolation or A/B measurement.
+// Every worker owns its BDD store: one prototype engine is built with
+// diffprop.New and every other worker receives a diffprop.Engine.Clone, a
+// structural copy of the good functions into a manager of its own, so the
+// BDD core runs without locks or atomics. The prototype's rebuild limit
+// (and any recovery node watermark) is split evenly over the workers, so
+// the campaign's node budget, and with it its memory, stays what one
+// engine would use.
 package analysis
 
 import (
@@ -86,14 +85,6 @@ type CampaignConfig struct {
 	MemPoll time.Duration
 	// memSample overrides the governor's heap sampler in tests.
 	memSample func() int64
-	// Isolate gives every worker its own cloned BDD manager (the historical
-	// pre-shared-table behavior) instead of a shared view onto the
-	// prototype's node store. Sharing is the default: it builds every
-	// canonical function once and keeps peak heap flat as workers are
-	// added. Isolation trades that for complete independence between
-	// workers — useful as an A/B baseline and when a workload's recovery
-	// ladders thrash the shared table.
-	Isolate bool
 	// FallbackVectors and FallbackSeed parameterize the degradation
 	// estimate (zero selects DefaultFallbackVectors / DefaultFallbackSeed).
 	// The estimate is a pure function of (circuit, vectors, seed, fault),
@@ -296,17 +287,26 @@ func (s *CampaignStats) add(es diffprop.Stats) {
 	s.Cache = agg.Cache
 }
 
-// prepareEngines builds the prototype engine, runs prep on it (nil for
-// none), and derives one engine per worker. By default workers get
-// diffprop.Engine.Share views onto the prototype's manager — one shared
-// node store for the whole campaign. With isolate set, each worker
-// instead receives a diffprop.Engine.Clone (a structural
-// manager-to-manager copy); clones are taken concurrently — Transfer only
-// reads the source — but strictly before any worker starts analyzing. The
-// shared working circuit's lazy topology caches are warmed here so workers
-// only ever read them.
-func prepareEngines(c *netlist.Circuit, opts *diffprop.Options, workers int, isolate bool, prep func(*diffprop.Engine)) ([]*diffprop.Engine, error) {
-	proto, err := diffprop.New(c, opts)
+// prepareEngines builds the prototype engine under 1/workers of the
+// rebuild limit, runs prep on it (nil for none), and derives one engine
+// per worker: the prototype itself plus diffprop.Engine.Clone copies,
+// which inherit the split limit. Clones are taken concurrently — Transfer
+// only reads the source — but strictly before any worker starts
+// analyzing. cfg.Recovery's node watermark is split the same way, in
+// place, so the calibrator built from cfg afterwards extends the split
+// ladder, and every engine is armed with cfg's fault budget and recovery.
+// The shared working circuit's lazy topology caches are warmed here so
+// workers only ever read them.
+func prepareEngines(c *netlist.Circuit, opts *diffprop.Options, workers int, cfg *CampaignConfig, prep func(*diffprop.Engine)) ([]*diffprop.Engine, error) {
+	split := diffprop.Options{}
+	if opts != nil {
+		split = *opts
+	}
+	if split.RebuildLimit <= 0 {
+		split.RebuildLimit = diffprop.DefaultRebuildLimit
+	}
+	split.RebuildLimit = max(split.RebuildLimit/workers, 1)
+	proto, err := diffprop.New(c, &split)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: parallel run failed: %w", err)
 	}
@@ -319,12 +319,6 @@ func prepareEngines(c *netlist.Circuit, opts *diffprop.Options, workers int, iso
 	}
 	engines := make([]*diffprop.Engine, workers)
 	engines[0] = proto
-	if !isolate {
-		for w := 1; w < workers; w++ {
-			engines[w] = proto.Share()
-		}
-		return engines, nil
-	}
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
@@ -334,6 +328,13 @@ func prepareEngines(c *netlist.Circuit, opts *diffprop.Options, workers int, iso
 		}(w)
 	}
 	wg.Wait()
+	if cfg.Recovery.NodeLimit > 0 {
+		cfg.Recovery.NodeLimit = max(cfg.Recovery.NodeLimit/workers, 1)
+	}
+	for _, e := range engines {
+		e.SetFaultBudget(cfg.budget())
+		e.SetRecovery(cfg.Recovery)
+	}
 	return engines, nil
 }
 
@@ -441,13 +442,7 @@ func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip
 						calGen = cal.apply(e, calGen)
 					}
 					t0 := instr.faultStart()
-					// Shared engines analyze under the table's read lock so
-					// recovery ladders and governor GCs on sibling views
-					// cannot re-root the good functions mid-fault. Unshared
-					// engines get a no-op unlock.
-					unlock := e.AnalysisLock()
 					outcome, err := analyze(e, w, i)
-					unlock()
 					if cal != nil {
 						cal.observe(outcome, e.AnalysisOps())
 					}
@@ -564,12 +559,12 @@ func resumeDecode(total int, resume map[int]json.RawMessage, decode func(i int, 
 }
 
 // RunStuckAtCampaign analyzes the fault set with work-stealing dispatch
-// over cfg.Workers cloned engines and returns a study whose Records are
-// bit-identical and index-aligned to the serial RunStuckAt: every fault is
-// analyzed exactly, so the scheduling cannot change any result, only the
-// wall clock. Fault sites must refer to the two-input decomposition of c
-// (the working circuit of any engine built from c), which is
-// deterministic.
+// over cfg.Workers engines, each with a private BDD store, and returns a
+// study whose Records are bit-identical and index-aligned to the serial
+// RunStuckAt: every fault is analyzed exactly, so the scheduling cannot
+// change any result, only the wall clock. Fault sites must refer to the
+// two-input decomposition of c (the working circuit of any engine built
+// from c), which is deterministic.
 func RunStuckAtCampaign(c *netlist.Circuit, opts *diffprop.Options, fs []faults.StuckAt, cfg CampaignConfig) (StuckAtStudy, error) {
 	workers := Workers(cfg.Workers)
 	if workers > len(fs) {
@@ -578,13 +573,9 @@ func RunStuckAtCampaign(c *netlist.Circuit, opts *diffprop.Options, fs []faults.
 	if workers < 1 {
 		workers = 1
 	}
-	engines, err := prepareEngines(c, opts, workers, cfg.Isolate, nil)
+	engines, err := prepareEngines(c, opts, workers, &cfg, nil)
 	if err != nil {
 		return StuckAtStudy{}, err
-	}
-	for _, e := range engines {
-		e.SetFaultBudget(cfg.budget())
-		e.SetRecovery(cfg.Recovery)
 	}
 	work := engines[0].Circuit
 	toPO := work.MaxLevelsToPO()
@@ -641,15 +632,11 @@ func RunBridgingCampaign(c *netlist.Circuit, opts *diffprop.Options, bs []faults
 	// The feedback-reachability table is built on the prototype before
 	// cloning so all workers share one immutable copy instead of each
 	// building its own.
-	engines, err := prepareEngines(c, opts, workers, cfg.Isolate, func(e *diffprop.Engine) {
+	engines, err := prepareEngines(c, opts, workers, &cfg, func(e *diffprop.Engine) {
 		e.FeedbackChecker()
 	})
 	if err != nil {
 		return BridgingStudy{}, err
-	}
-	for _, e := range engines {
-		e.SetFaultBudget(cfg.budget())
-		e.SetRecovery(cfg.Recovery)
 	}
 	work := engines[0].Circuit
 	toPO := work.MaxLevelsToPO()

@@ -6,15 +6,13 @@
 // the nodes of the plain representation. All binary operations are
 // normalized ITE standard triples served by one computed cache.
 //
-// The node store is shared: a Manager is a lightweight view (budget,
-// statistics, sat-count cache, logger) over a lock-striped concurrent
-// table, and Share hands out additional views so many workers can build
-// on one node set at once — see table.go for the concurrency protocol.
+// A Manager is single-threaded: it owns its node store (see table.go)
+// outright, and parallel campaigns give every worker a manager of its own.
 // Quantification, composition, exact satisfying-set counting and
 // manager-to-manager transfer (used for generational garbage collection
 // and static variable reordering) ride on the same core.
 //
-// A Manager owns a set of ordered variables and (a view of) a node table.
+// A Manager owns a set of ordered variables and a node table.
 // Functions are referred to by Ref values that are only meaningful within
 // their table. The two terminals are the package-level constants False
 // and True and are shared by every manager.
@@ -71,9 +69,7 @@ const (
 // the operation family that issued them: And/Or/Xor feed the Apply
 // counters, Ite/Compose/VectorCompose the Ite counters. Not is free under
 // complement edges and never probes a cache, so its counters stay zero
-// (kept for layout compatibility with aggregated historical stats). The
-// counters are per-view and unsynchronized; each worker reads only its
-// own.
+// (kept for layout compatibility with aggregated historical stats).
 type CacheStats struct {
 	ApplyHits, ApplyMisses int64
 	IteHits, IteMisses     int64
@@ -101,13 +97,11 @@ func (s CacheStats) HitRate() float64 {
 	return float64(hits) / float64(total)
 }
 
-// Manager is a view over a (possibly shared) BDD node table: the armed
-// resource budget, node watermark, cache statistics, sat-count cache and
-// logger are per-view, while nodes, the unique table and the computed
-// cache live in the shared table. A single view is not safe for
-// concurrent use; distinct views over one table are (Share).
+// Manager is one BDD universe: its node table plus the armed resource
+// budget, node watermark, cache statistics, sat-count cache and logger. A
+// Manager is not safe for concurrent use.
 type Manager struct {
-	t *table
+	t table
 
 	stats CacheStats
 
@@ -121,7 +115,7 @@ type Manager struct {
 	deadlineMask int64
 
 	// nodeLimit, when positive, is the soft node-count watermark: mk panics
-	// with ErrNodeLimit once the shared table would grow past it
+	// with ErrNodeLimit once the table would grow past it
 	// (SetNodeLimit).
 	nodeLimit int
 
@@ -136,15 +130,13 @@ type Manager struct {
 	log *slog.Logger
 
 	// gcHook, when non-nil, observes each completed GC/ReduceUnder pass
-	// (SetGCHook) — the flight-recorder seam. Per-view, like the logger.
+	// (SetGCHook) — the flight-recorder seam.
 	gcHook func(GCResult)
 
 	// satC caches satisfying-set counts keyed by regular (uncomplemented)
-	// ref, normalized to each node's own level. satEpoch tracks the table
-	// epoch the cache was filled under; an in-place adoption (GC/sift)
-	// bumps the table epoch and invalidates the cache lazily.
-	satC     map[Ref]*big.Int
-	satEpoch uint64
+	// ref, normalized to each node's own level. An in-place adoption
+	// (GC/sift) replaces it with the adopted table's own.
+	satC map[Ref]*big.Int
 }
 
 // SetLogger attaches a structured logger for manager events. A nil logger
@@ -153,10 +145,9 @@ func (m *Manager) SetLogger(log *slog.Logger) { m.log = log }
 
 // SetGCHook registers an observer for completed GC and ReduceUnder
 // passes: the hook receives each pass's final GCResult, exactly once per
-// public collection call. The hook runs on the collecting goroutine with
-// the table quiescent, so it must be cheap and must not touch the
-// manager. A nil hook disables it (the default). Per-view, like the
-// logger: each worker engine installs its own.
+// public collection call. The hook runs on the collecting goroutine, so it
+// must be cheap and must not touch the manager. A nil hook disables it
+// (the default).
 func (m *Manager) SetGCHook(hook func(GCResult)) { m.gcHook = hook }
 
 // deadlineCheckMask throttles the wall-clock check of an armed budget to
@@ -178,7 +169,7 @@ const (
 // counter, so callers arm once per unit of work (per fault). One
 // operation is charged per ITE step — a machine-independent proxy for the
 // nodes an analysis builds and visits that stays meaningful when the
-// computed cache is shared and warm.
+// computed cache is warm.
 func (m *Manager) SetBudget(ops int64, deadline time.Time) {
 	m.budgetOps = ops
 	m.deadline = deadline
@@ -211,8 +202,7 @@ func (m *Manager) SetChaosAbort(at int64, err error) {
 // ErrNodeLimit. Like ErrBudget, the panic fires only between node-table
 // mutations, so callers that recover it at their analysis boundary may
 // keep using the manager; Manager.GC or ReduceUnder then reclaims the
-// garbage the aborted computation left behind. The watermark is per-view:
-// other views sharing the table keep their own.
+// garbage the aborted computation left behind.
 func (m *Manager) SetNodeLimit(n int) {
 	if n < 0 {
 		n = 0
@@ -231,19 +221,10 @@ func (m *Manager) ClearBudget() { m.SetBudget(0, time.Time{}) }
 func (m *Manager) OpsCharged() int64 { return m.ops }
 
 // TableLoad reports the unique table's occupancy: resident nodes and
-// hash-bucket capacity summed over all shards. nodes/buckets is the load
-// factor the timeline sampler plots. Safe for concurrent use (briefly
-// locks each shard in turn); the two sums are each internally consistent
-// per shard but not across a concurrent resize — fine for telemetry.
+// hash-bucket capacity. nodes/buckets is the load factor the timeline
+// sampler plots.
 func (m *Manager) TableLoad() (nodes, buckets int64) {
-	for i := range m.t.shards {
-		s := &m.t.shards[i]
-		s.mu.Lock()
-		nodes += int64(s.count)
-		buckets += int64(len(s.buckets))
-		s.mu.Unlock()
-	}
-	return nodes, buckets
+	return int64(m.t.count), int64(len(m.t.buckets))
 }
 
 // chargeOp records one operation against the armed budget, aborting with
@@ -270,8 +251,8 @@ func (m *Manager) chargeOp() {
 	}
 }
 
-// CacheStats reports this view's computed-cache hit/miss counters
-// accumulated since the view was created.
+// CacheStats reports the computed-cache hit/miss counters accumulated
+// since the manager was created.
 func (m *Manager) CacheStats() CacheStats { return m.stats }
 
 // New creates a manager over the named variables, ordered as given.
@@ -287,9 +268,8 @@ func New(names ...string) *Manager {
 		}
 		nameIdx[n] = i
 	}
-	t := newTable(append([]string(nil), names...), nameIdx)
 	return &Manager{
-		t:            t,
+		t:            *newTable(append([]string(nil), names...), nameIdx),
 		deadlineMask: deadlineCheckMask,
 		satC:         make(map[Ref]*big.Int),
 	}
@@ -304,37 +284,30 @@ func NewAnon(n int) *Manager {
 	return New(names...)
 }
 
-// Share returns a fresh view over the manager's table: same nodes, same
-// variable order, same computed cache, but independent budget, node
-// watermark, statistics and sat-count cache. Views may be used from
-// different goroutines concurrently; handing the new view to another
-// goroutine is itself the synchronizing edge for every Ref created so
-// far.
-func (m *Manager) Share() *Manager {
-	m.t.views.Add(1)
-	return &Manager{
-		t:            m.t,
-		deadlineMask: deadlineCheckMask,
-		satC:         make(map[Ref]*big.Int),
-		satEpoch:     m.t.epoch.Load(),
+// TableEpoch reports the table's adoption epoch: the number of in-place
+// GC/sift generations the store has gone through.
+func (m *Manager) TableEpoch() uint64 { return m.t.epoch }
+
+// SetMaxCache caps the computed cache at the largest power of two not
+// above entries (at least 1<<minCacheBits, at most 1<<maxCacheBits); the
+// cache grows with the node count up to that size. A cache already larger
+// than the cap is replaced by an empty one at the cap.
+func (m *Manager) SetMaxCache(entries int) {
+	n := 1 << minCacheBits
+	for n < 1<<maxCacheBits && 2*n <= entries {
+		n *= 2
+	}
+	m.t.maxCache = n
+	if len(m.t.cache) > n {
+		m.t.setCache(n)
 	}
 }
-
-// Views reports how many Manager views were handed out over this
-// manager's table (including the original).
-func (m *Manager) Views() int { return int(m.t.views.Load()) }
-
-// TableEpoch reports the table's adoption epoch: the number of in-place
-// GC/sift generations the shared store has gone through.
-func (m *Manager) TableEpoch() uint64 { return m.t.epoch.Load() }
 
 // setCacheBits pins the computed cache to 1<<bits entries and disables
 // automatic growth (test hook: tiny caches force collision evictions).
 func (m *Manager) setCacheBits(bits uint) {
-	m.t.growMu.Lock()
-	m.t.noGrow = true
-	m.t.cache.Store(newOpCache(bits))
-	m.t.growMu.Unlock()
+	m.t.setCache(1 << bits)
+	m.t.maxCache = 1 << bits
 }
 
 // NumVars reports the number of variables in the manager.
@@ -354,9 +327,9 @@ func (m *Manager) VarIndex(name string) int {
 // Names returns a copy of the variable order.
 func (m *Manager) Names() []string { return append([]string(nil), m.t.names...) }
 
-// NodeCount reports the total number of live nodes in the shared table,
-// including the terminal.
-func (m *Manager) NodeCount() int { return int(m.t.count.Load()) }
+// NodeCount reports the total number of nodes in the table, including the
+// terminal.
+func (m *Manager) NodeCount() int { return int(m.t.count) }
 
 // Var returns the function of the single variable at order position i.
 func (m *Manager) Var(i int) Ref {
@@ -516,7 +489,7 @@ func (m *Manager) iteLess(a, b Ref) bool {
 // complement-edge normalization that makes the first argument and the
 // then argument regular. One operation is charged per entry — including
 // cache hits — so an armed budget bounds work deterministically even when
-// the shared cache is warm. hits/misses point at the issuing operation
+// the cache is warm. hits/misses point at the issuing operation
 // family's counters.
 func (m *Manager) ite(f, g, h Ref, hits, misses *int64) Ref {
 	m.chargeOp()
@@ -582,10 +555,10 @@ func (m *Manager) ite(f, g, h Ref, hits, misses *int64) Ref {
 		g ^= 1
 		h ^= 1
 	}
-	cache := m.t.cache.Load()
-	if r, ok := cache.get(f, g, h); ok {
+	key := iteHash(f, g, h)
+	if e := &m.t.cache[key&m.t.cacheMask]; e.f == f && e.g == g && e.h == h {
 		*hits++
-		return r ^ neg
+		return e.res ^ neg
 	}
 	*misses++
 	level := m.levelOf(f)
@@ -599,7 +572,8 @@ func (m *Manager) ite(f, g, h Ref, hits, misses *int64) Ref {
 	g0, g1 := m.cofactors(g, level)
 	h0, h1 := m.cofactors(h, level)
 	r := m.mk(level, m.ite(f0, g0, h0, hits, misses), m.ite(f1, g1, h1, hits, misses))
-	cache.put(f, g, h, r)
+	// The recursion may have grown the cache, so the slot is re-derived.
+	m.t.cache[key&m.t.cacheMask] = cacheEnt{f, g, h, r}
 	return r ^ neg
 }
 

@@ -4,16 +4,13 @@
 // Rebuild already implements generational GC by copying live roots into a
 // fresh manager, but it hands back a *new* Manager — callers must rebind
 // every reference they hold. GC performs the same live-root copy and then
-// adopts the fresh tables into the receiver's shared table in place, so
-// the Manager identity (and its armed budget, logger and cumulative
-// statistics) survives collection — and, when the table is shared, every
-// other view sees the collected store as soon as the adoption completes.
-// Callers sharing the table must hold it quiescent around GC (the
-// campaign layer's analysis lock); refs held by any view are invalidated
-// and per-view sat caches are dropped lazily via the table epoch.
-// ReduceUnder stacks the auto-sift hook on top: when the live set alone
-// still exceeds the watermark, the blowup is order-induced rather than
-// garbage-induced, and a capped number of reordering passes is spent
+// adopts the fresh nodes into the receiver's table in place, so the Manager
+// identity (and its armed budget, logger, cumulative statistics and
+// operation-cache array, cleared) survives collection. Every other ref into
+// the table is invalidated, which the bumped table epoch lets holders
+// detect. ReduceUnder stacks the auto-sift hook on top: when the live set
+// alone still exceeds the watermark, the blowup is order-induced rather
+// than garbage-induced, and a capped number of reordering passes is spent
 // trying to shrink it.
 package bdd
 
@@ -35,26 +32,22 @@ type GCResult struct {
 // Reclaimed is the number of dead nodes the generational copy dropped.
 func (r GCResult) Reclaimed() int { return r.Before - r.AfterGC }
 
-// adopt replaces the shared table's contents with dst's, merging dst's
-// cache statistics into the receiver view's cumulative counters and
-// taking over dst's sat-count cache (its refs are the adopted table's
-// refs). The armed budget, node watermark and logger are the receiver's
-// own and survive unchanged. Other views sharing the table keep their
-// budgets too; their sat caches are invalidated by the epoch bump inside
-// adoptFrom. dst must not be used afterwards.
+// adopt replaces the table's contents with dst's, merging dst's cache
+// statistics into the receiver's cumulative counters and taking over
+// dst's sat-count cache (its refs are the adopted table's refs). The armed
+// budget, node watermark and logger are the receiver's own and survive
+// unchanged. dst must not be used afterwards.
 func (m *Manager) adopt(dst *Manager) {
 	m.stats.Add(dst.stats)
-	m.t.adoptFrom(dst.t)
+	m.t.adoptFrom(&dst.t)
 	m.satC = dst.satC
-	m.satEpoch = m.t.epoch.Load()
 }
 
 // GC collects the manager in place: the functions rooted at roots are
 // copied into fresh tables (dropping every node not reachable from them —
 // dead apply/ite garbage from completed or aborted computations) and the
 // manager adopts the result. The returned refs replace roots; all other
-// refs into the table are invalidated — including refs held by other
-// views, so a shared table must be quiescent. Unlike Rebuild, the manager
+// refs into the table are invalidated. Unlike Rebuild, the manager
 // identity, cumulative cache statistics, armed budget and node watermark
 // survive, so a caller can collect mid-computation without rebinding its
 // manager handle. The copy runs on the destination, which has no
@@ -73,6 +66,8 @@ func (m *Manager) GC(roots []Ref) ([]Ref, GCResult) {
 func (m *Manager) gc(roots []Ref) ([]Ref, GCResult) {
 	res := GCResult{Before: m.NodeCount()}
 	dst := New(m.t.names...)
+	// adopt keeps the receiver's cache, so the copy's own stays minimal.
+	dst.t.maxCache = len(dst.t.cache)
 	out := m.Transfer(dst, roots...)
 	m.adopt(dst)
 	res.AfterGC = m.NodeCount()

@@ -5,18 +5,6 @@ import (
 	"math/big"
 )
 
-// syncSatEpoch drops the view's sat-count cache when the shared table has
-// been adopted in place (GC/sift) since the cache was filled: node ids
-// were reassigned, so the cached counts name the wrong functions.
-func (m *Manager) syncSatEpoch() {
-	if e := m.t.epoch.Load(); e != m.satEpoch {
-		m.satEpoch = e
-		if len(m.satC) > 0 {
-			m.satC = make(map[Ref]*big.Int)
-		}
-	}
-}
-
 // SatCount returns the exact number of satisfying assignments of f over all
 // variables declared in the manager.
 //
@@ -24,9 +12,8 @@ func (m *Manager) syncSatEpoch() {
 // node's own level; a complement edge is resolved arithmetically as
 // 2^(n-level) − count, so both polarities of a function are served by one
 // cached value. Cached *big.Int values are immutable and may be aliased
-// across views and managers (Transfer carries them).
+// across managers (Transfer carries them).
 func (m *Manager) SatCount(f Ref) *big.Int {
-	m.syncSatEpoch()
 	n := int32(len(m.t.names))
 	counts := m.satC
 	// cntAt(r) counts assignments over the variables at levels >= level(r)

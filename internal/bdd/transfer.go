@@ -9,8 +9,7 @@ import (
 // the corresponding refs in dst. Variables are matched by name, so dst may
 // use a different order (the copy is rebuilt through ITE in that case) or a
 // superset of m's variables. Every variable of m must exist in dst. When
-// dst is a view over the same table as m (Share), the refs are already
-// valid there and are returned as-is.
+// dst is m itself, the refs are returned as-is.
 //
 // When source and destination share the variable order (the structural-copy
 // fast path), cached satisfying-set counts of the transferred nodes are
@@ -27,7 +26,7 @@ import (
 // bookkeeping, not analysis work, and must not abort half-way with
 // ErrBudget/ErrNodeLimit leaving the caller with a partial copy.
 func (m *Manager) Transfer(dst *Manager, refs ...Ref) []Ref {
-	if dst.t == m.t {
+	if dst == m {
 		return append([]Ref(nil), refs...)
 	}
 	savedOps, savedBudget := dst.ops, dst.budgetOps
@@ -92,8 +91,6 @@ func (m *Manager) Transfer(dst *Manager, refs ...Ref) []Ref {
 		// Carry cached sat counts for every node that made the trip. The
 		// *big.Int values are shared: SatCount treats stored counts as
 		// immutable, so aliasing across managers is safe.
-		m.syncSatEpoch()
-		dst.syncSatEpoch()
 		for id, dstRef := range memo {
 			if id == 0 {
 				continue

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math/bits"
-	"sync"
 	"time"
 
 	"repro/internal/bdd"
@@ -87,8 +86,11 @@ type Options struct {
 	// declaration order the paper used.
 	Order []string
 	// RebuildLimit triggers generational garbage collection of the BDD
-	// manager when the node table exceeds this size. Zero selects a
-	// default.
+	// manager when the node table exceeds this size, and caps the
+	// manager's operation cache at half of it. Zero selects
+	// DefaultRebuildLimit. A parallel campaign splits the limit evenly
+	// over its workers' private managers, so the campaign-wide node
+	// budget does not grow with the worker count.
 	RebuildLimit int
 	// CutThreshold enables the paper's functional decomposition speedup
 	// (§4.2, ref [21]): a net whose good-function BDD exceeds this many
@@ -103,12 +105,15 @@ type Options struct {
 	MaxCuts int
 }
 
-// Engine analyzes one circuit. A single Engine is not safe for concurrent
-// use, but Share hands out additional engines over the same shared BDD
-// table that may run on other goroutines (each bracketing its fault
-// queries with AnalysisLock). Results returned by Engine methods hold BDD
-// references that stay valid only until the next Engine call (the engine
-// may compact its manager between faults).
+// DefaultRebuildLimit is the node count at which an engine compacts its
+// BDD manager when Options.RebuildLimit is zero.
+const DefaultRebuildLimit = 4 << 20
+
+// Engine analyzes one circuit. An Engine is not safe for concurrent use;
+// Clone gives each goroutine an engine with a BDD manager of its own.
+// Results returned by Engine methods hold BDD references that stay valid
+// only until the next Engine call (the engine may compact its manager
+// between faults).
 type Engine struct {
 	// Circuit is the two-input working copy of the analyzed circuit; all
 	// fault sites passed to the engine must refer to ITS net numbering.
@@ -132,10 +137,10 @@ type Engine struct {
 	varToInput []int
 
 	// reach is the fan-out reachability table: one packed bitset row per
-	// net, built once in New and aliased by every Share view and Clone. It
-	// doubles as the levelized cone index behind the worklist propagation
-	// (rows are in topological order by construction) and as the O(1)
-	// feedback screen for bridging faults.
+	// net, built once in New and aliased by every Clone. It doubles as the
+	// levelized cone index behind the worklist propagation (rows are in
+	// topological order by construction) and as the O(1) feedback screen
+	// for bridging faults.
 	reach *faults.Reachability
 
 	// ffrNext is the fanout-free-region table: for a non-PO net feeding
@@ -143,20 +148,19 @@ type Engine struct {
 	// region root (a stem, a primary output or an unused net). A single
 	// stuck-at fault leaves its region only through the root, which is what
 	// lets StuckAt factor its test set. Built once in New and aliased by
-	// every Share view and Clone.
+	// every Clone.
 	ffrNext []int
 
 	// rootObs caches, per region root, the observability functions of the
-	// root (see rootObservability). Per view, so it needs no lock; entries
-	// are tagged with the table epoch and go stale at the next compaction
-	// or recovery of the shared table.
+	// root (see rootObservability). Entries are tagged with the table
+	// epoch and go stale at the next compaction or recovery.
 	rootObs []rootObs
 
-	// coneBuf and deltaBuf are per-view scratch for the worklist
-	// propagation: the merged fan-out-cone bitset of the current fault's
-	// seed sites, and the per-net difference functions (bdd.False = none).
-	// Both are cleaned between analyses by walking the cone bits only, so
-	// per-fault cost stays O(|cone|), not O(|circuit|).
+	// coneBuf and deltaBuf are scratch for the worklist propagation: the
+	// merged fan-out-cone bitset of the current fault's seed sites, and the
+	// per-net difference functions (bdd.False = none). Both are cleaned
+	// between analyses by walking the cone bits only, so per-fault cost
+	// stays O(|cone|), not O(|circuit|).
 	coneBuf  []uint64
 	deltaBuf []bdd.Ref
 
@@ -175,17 +179,8 @@ type Engine struct {
 	// settled at (0 = never sifted). The good functions are fixed for the
 	// engine's lifetime, so a sift that could not pull them under the
 	// watermark will not do better on the next recovery; this gates the
-	// sift rung to run once per engine. Engines sharing one table keep the
-	// gate in sharedState instead — one sift serves every view.
+	// sift rung to run once per engine.
 	lastSiftSize int
-
-	// shared is non-nil for engines created by (or used as the source of)
-	// Share: views over one BDD table coordinating through a read/write
-	// lock. Fault analyses run under the read side (concurrent), in-place
-	// GC and sifting under the write side (exclusive). The good and
-	// varToInput slices are aliased across all views and rebound in place,
-	// so a GC by one view re-roots every other view at once.
-	shared *sharedState
 
 	// log receives structured engine events (rebuilds, budget aborts);
 	// nil is silent. Not shared with clones.
@@ -406,10 +401,11 @@ func New(c *netlist.Circuit, opts *Options) (*Engine, error) {
 		}
 	}
 	m := bdd.New(order...)
-	limit := 4 << 20
+	limit := DefaultRebuildLimit
 	if opts != nil && opts.RebuildLimit > 0 {
 		limit = opts.RebuildLimit
 	}
+	m.SetMaxCache(limit / 2)
 	e := &Engine{
 		Circuit:      work,
 		m:            m,
@@ -460,7 +456,7 @@ func New(c *netlist.Circuit, opts *Options) (*Engine, error) {
 	e.varToInput = buildVarToInput(work, m)
 	// The reachability table serves double duty as the cone index of the
 	// worklist propagation, so it is built eagerly: one reverse-topological
-	// sweep here, aliased by every Share view and Clone thereafter.
+	// sweep here, aliased by every Clone thereafter.
 	e.reach = faults.NewReachability(work)
 	e.ffrNext = buildFFRNext(work)
 	e.peakNodes = m.NodeCount()
@@ -511,10 +507,11 @@ func buildVarToInput(c *netlist.Circuit, m *bdd.Manager) []int {
 // with the source's syndrome cache and a compact, garbage-free manager.
 // Cloning reads but never mutates the source, so several clones may be
 // taken concurrently — but not while another goroutine is analyzing faults
-// on the source. Runtime counters start at zero and the root
-// observability cache starts empty.
+// on the source. The clone keeps the source's rebuild limit. Runtime
+// counters start at zero and the root observability cache starts empty.
 func (e *Engine) Clone() *Engine {
 	m2 := bdd.New(e.m.Names()...)
+	m2.SetMaxCache(e.rebuildLimit / 2)
 	good2 := e.m.Transfer(m2, e.good...)
 	return &Engine{
 		Circuit:      e.Circuit,
@@ -534,73 +531,9 @@ func (e *Engine) Clone() *Engine {
 	}
 }
 
-// sharedState coordinates the engines sharing one BDD table. The lock
-// has reader/writer semantics matching the table's concurrency contract:
-// fault analyses (which only add nodes) run under RLock concurrently,
-// while in-place GC and sifting (which re-root the table) require the
-// exclusive Lock. lastSiftSize moves here from the per-engine field so
-// the one-sift-per-good-set gate spans every view.
-type sharedState struct {
-	mu           sync.RWMutex
-	lastSiftSize int
-}
-
-// Share returns an engine over the same circuit and the same BDD node
-// table: good functions, computed cache and unique table are shared, so
-// the new engine costs a few slice headers instead of a full node-store
-// copy, and warm cache entries built by any view serve all of them. The
-// shared views — including the receiver — must bracket every fault query
-// with AnalysisLock, which coordinates concurrent analyses with in-place
-// compaction. Budgets, recovery settings, statistics, the syndrome cache
-// and the root observability cache are per-view; the good and varToInput
-// slices are aliased so recovery by one view re-roots all of them.
-func (e *Engine) Share() *Engine {
-	if e.shared == nil {
-		e.shared = &sharedState{lastSiftSize: e.lastSiftSize}
-	}
-	return &Engine{
-		Circuit:      e.Circuit,
-		m:            e.m.Share(),
-		good:         e.good,
-		rebuildLimit: e.rebuildLimit,
-		cutNets:      e.cutNets,
-		syndromes:    append([]float64(nil), e.syndromes...),
-		synValid:     append([]bool(nil), e.synValid...),
-		varToInput:   e.varToInput,
-		reach:        e.reach,
-		ffrNext:      e.ffrNext,
-		faultBudget:  e.faultBudget,
-		recovery:     e.recovery,
-		shared:       e.shared,
-		peakNodes:    e.m.NodeCount(),
-	}
-}
-
-// AnalysisLock enters one fault analysis on a shared engine and returns
-// the function that leaves it. The returned unlock must be held across
-// the whole analysis — query plus any witness/cube extraction — because
-// the refs a query returns die at the next in-place compaction, which
-// only runs while no analysis holds the lock. When the shared table has
-// outgrown the rebuild limit the entering worker compacts it first (under
-// the exclusive lock) so garbage cannot accumulate unboundedly: begin()
-// skips its own compaction check in shared mode precisely because it runs
-// under the read lock. On an unshared engine both enter and leave are
-// no-ops.
-func (e *Engine) AnalysisLock() func() {
-	sh := e.shared
-	if sh == nil {
-		return func() {}
-	}
-	if e.m.NodeCount() > e.rebuildLimit {
-		sh.mu.Lock()
-		if e.m.NodeCount() > e.rebuildLimit {
-			e.compact("limit")
-		}
-		sh.mu.Unlock()
-	}
-	sh.mu.RLock()
-	return sh.mu.RUnlock
-}
+// RebuildLimit reports the node count at which the engine compacts its
+// manager.
+func (e *Engine) RebuildLimit() int { return e.rebuildLimit }
 
 // CutNets returns the nets replaced by cut variables under functional
 // decomposition; an empty slice means the analysis is exact.
@@ -708,11 +641,7 @@ func scaleBound(v int64, mult float64) int64 {
 // the whole query — seed construction, propagation, counting — is metered
 // as one unit.
 func (e *Engine) begin() {
-	if e.shared == nil {
-		// Shared engines compact under the exclusive lock in AnalysisLock;
-		// begin runs under the read side where adoption is off-limits.
-		e.maybeCompact()
-	}
+	e.maybeCompact()
 	if e.phaseClock {
 		e.phaseStart = time.Now()
 		e.lastPhases = PhaseTimes{}
@@ -764,70 +693,32 @@ func (e *Engine) Recover() {
 	// analysis never reached begin (an injected panic between arming and
 	// the first query), the trigger must not leak into the next fault.
 	e.chaosAt, e.chaosErr = 0, nil
-	if sh := e.shared; sh != nil {
-		// Recover is reached inside an analysis, i.e. under the read lock.
-		// The ladder re-roots the shared table, which needs the exclusive
-		// lock, so escalate: drop the read side, collect, re-enter. This
-		// cannot deadlock — every other holder of the read side that needs
-		// the write lock drops its read lock first, exactly like here.
-		sh.mu.RUnlock()
-		sh.mu.Lock()
-		e.recoverLadder()
-		sh.mu.Unlock()
-		sh.mu.RLock()
-		return
-	}
-	e.recoverLadder()
-}
-
-// recoverLadder runs the engine-side recovery rungs. Shared engines call
-// it under the exclusive lock; unshared ones directly.
-func (e *Engine) recoverLadder() {
 	before := e.m.NodeCount()
 	if before > e.peakNodes {
 		e.peakNodes = before
 	}
 	passes := e.recovery.SiftPasses
-	if e.siftSize() > 0 {
+	if e.lastSiftSize > 0 {
 		// The good functions cannot change, so one sift per good set is all
-		// that can ever help (clones and shared views inherit the order).
+		// that can ever help (clones inherit the order).
 		passes = 0
 	}
 	roots, res := e.m.ReduceUnder(e.good, e.recovery.NodeLimit, passes)
-	// Rebind in place: shared views alias this slice, so the copy re-roots
-	// every one of them at once.
 	copy(e.good, roots)
 	e.rebuilds++
 	e.nodesReclaimed += int64(res.Reclaimed())
 	if res.Sifted {
 		e.sifts++
-		e.setSiftSize(res.After)
+		e.lastSiftSize = res.After
 		// Reordering moved the variables: the position→input map must be
-		// recomputed (in place, for the same aliasing reason). Syndromes are
-		// per-net fractions and stay valid.
-		copy(e.varToInput, buildVarToInput(e.Circuit, e.m))
+		// recomputed. Syndromes are per-net fractions and stay valid.
+		e.varToInput = buildVarToInput(e.Circuit, e.m)
 	}
 	if e.log != nil {
 		e.log.Debug("engine recover", "ops_charged", e.lastAbortOps,
 			"nodes_before", before, "nodes_after", e.m.NodeCount(),
 			"reclaimed", res.Reclaimed(), "sifted", res.Sifted, "rebuilds", e.rebuilds)
 	}
-}
-
-// siftSize reads the one-sift gate from wherever it lives for this engine.
-func (e *Engine) siftSize() int {
-	if e.shared != nil {
-		return e.shared.lastSiftSize
-	}
-	return e.lastSiftSize
-}
-
-func (e *Engine) setSiftSize(n int) {
-	if e.shared != nil {
-		e.shared.lastSiftSize = n
-		return
-	}
-	e.lastSiftSize = n
 }
 
 // maybeCompact garbage-collects the manager around the good functions when
@@ -841,7 +732,7 @@ func (e *Engine) maybeCompact() {
 
 // compact garbage-collects the manager in place around the good functions.
 // The manager keeps its identity, so cumulative cache statistics and the
-// node high-water mark survive without engine-side accumulators. Shared by
+// node high-water mark survive without engine-side accumulators. Used by
 // maybeCompact (node-table growth) and GCNow (the campaign memory
 // governor).
 func (e *Engine) compact(cause string) {
@@ -863,18 +754,8 @@ func (e *Engine) compact(cause string) {
 // functions, dropping per-fault garbage between analyses. The campaign
 // memory governor calls it when parking a worker under heap pressure; any
 // caller may use it to return an idle engine to its minimal footprint.
-// Results of previous queries are invalidated. On a shared engine the
-// collection takes the exclusive lock, waiting for in-flight analyses on
-// other views; callers must not hold AnalysisLock when invoking it.
-func (e *Engine) GCNow() {
-	if sh := e.shared; sh != nil {
-		sh.mu.Lock()
-		e.compact("governor")
-		sh.mu.Unlock()
-		return
-	}
-	e.compact("governor")
-}
+// Results of previous queries are invalidated.
+func (e *Engine) GCNow() { e.compact("governor") }
 
 // Result is the outcome of one fault analysis: the complete test set and
 // the figures derived from it. The BDD references are valid until the
@@ -1132,8 +1013,8 @@ type rootObs struct {
 // rootObservability returns the observability functions of a region root,
 // propagating a constant-true difference from the root through the
 // worklist on a cache miss. Entries are tagged with the table epoch: any
-// compaction, recovery or sift — including one run by a sibling Share
-// view — renumbers the nodes and so invalidates them. A fill runs inside
+// compaction, recovery or sift renumbers the nodes and so invalidates
+// them. A fill runs inside
 // the querying fault's budget meter, and one that aborts leaves no entry.
 // Cached refs are not GC roots; they stay valid exactly as long as the
 // epoch does, because nothing is freed between compactions.
@@ -1343,7 +1224,7 @@ func (e *Engine) gateSubstitutionSeeds(gate int, wrongType netlist.GateType) see
 }
 
 // FeedbackChecker returns the engine's fan-out reachability table (built
-// in New, immutable, aliased by every Share view and Clone). It screens
+// in New, immutable, aliased by every Clone). It screens
 // feedback bridges in O(1) per pair and provides the packed cone rows the
 // worklist propagation merges per fault.
 func (e *Engine) FeedbackChecker() *faults.Reachability {

@@ -173,10 +173,9 @@ type CampaignMetrics struct {
 	BDDNodes, BDDPeakNodes *Gauge
 	// bdd_rebuilds_total: generational GC passes over all engines.
 	BDDRebuilds *Counter
-	// bdd_table_views / bdd_table_epoch: shared-backend shape — manager
-	// views attached to the campaign's node table, and the table's
-	// in-place adoption generation (GC/sift count visible to all views).
-	BDDTableViews, BDDTableEpoch *Gauge
+	// bdd_table_epoch: in-place adoption generation (GC/sift count) of the
+	// node table of the engine that last finished a fault.
+	BDDTableEpoch *Gauge
 	// bdd_cache_hits_total / bdd_cache_misses_total: operation caches,
 	// folded in once at campaign finish.
 	CacheHits, CacheMisses *Counter
@@ -185,8 +184,9 @@ type CampaignMetrics struct {
 	// after every fault), so the timeline sampler can compute an
 	// interval-local hit ratio mid-campaign.
 	CacheHitsLive, CacheMissesLive *Gauge
-	// bdd_table_buckets: hash-bucket capacity of the campaign's unique
-	// table; with bdd_nodes it yields the table occupancy (load factor).
+	// bdd_table_buckets: hash-bucket capacity of the unique table of the
+	// engine that last finished a fault; with bdd_nodes it yields the
+	// table occupancy (load factor).
 	BDDTableBuckets *Gauge
 	// checkpoint_appends_total / checkpoint_fsyncs_total: persistence I/O.
 	CheckpointAppends, CheckpointFsyncs *Counter
@@ -256,13 +256,12 @@ func (o *Observer) CampaignMetrics() *CampaignMetrics {
 		BDDNodes:          r.Gauge("bdd_nodes", "Most recently observed BDD node-table size of any worker engine."),
 		BDDPeakNodes:      r.Gauge("bdd_peak_nodes", "Largest BDD node table any single engine reached."),
 		BDDRebuilds:       r.Counter("bdd_rebuilds_total", "Generational BDD-manager GC passes over all engines."),
-		BDDTableViews:     r.Gauge("bdd_table_views", "Manager views sharing the campaign's BDD node table (1 per worker when shared; 1 when isolated)."),
-		BDDTableEpoch:     r.Gauge("bdd_table_epoch", "In-place adoption generation of the shared node table (bumps on GC/sift)."),
+		BDDTableEpoch:     r.Gauge("bdd_table_epoch", "In-place adoption generation of the last-reporting worker's BDD node table (bumps on GC/sift)."),
 		CacheHits:         r.Counter("bdd_cache_hits_total", "BDD apply/ite/not operation-cache hits."),
 		CacheMisses:       r.Counter("bdd_cache_misses_total", "BDD apply/ite/not operation-cache misses."),
 		CacheHitsLive:     r.Gauge("bdd_cache_hits_live", "Operation-cache hits accumulated live during the run (timeline source)."),
 		CacheMissesLive:   r.Gauge("bdd_cache_misses_live", "Operation-cache misses accumulated live during the run (timeline source)."),
-		BDDTableBuckets:   r.Gauge("bdd_table_buckets", "Hash-bucket capacity of the campaign's BDD unique table."),
+		BDDTableBuckets:   r.Gauge("bdd_table_buckets", "Hash-bucket capacity of the last-reporting worker's BDD unique table."),
 		CheckpointAppends: r.Counter("checkpoint_appends_total", "Fault records appended to the checkpoint file."),
 		CheckpointFsyncs:  r.Counter("checkpoint_fsyncs_total", "fsync calls issued by the checkpointer."),
 
