@@ -128,9 +128,14 @@ func (t *table) mkRaw(limit int, level int32, low, high Ref) Ref {
 	return Ref(id << 1)
 }
 
-// growBuckets doubles the bucket array and rehashes every chain.
+// growBuckets doubles the bucket array and rehashes every chain. The
+// rehash walks the nodes, not the old chains, so the old array is dropped
+// before the new one is allocated: a collection that the allocation
+// triggers then does not count both arrays as live.
 func (t *table) growBuckets() {
-	nb := make([]int32, 2*len(t.buckets))
+	size := 2 * len(t.buckets)
+	t.buckets = nil
+	nb := make([]int32, size)
 	t.mask = uint32(len(nb) - 1)
 	for id := int32(1); id < t.count; id++ {
 		n := t.node(id)
@@ -142,8 +147,9 @@ func (t *table) growBuckets() {
 }
 
 // setCache replaces the operation cache with an empty one of n entries (a
-// power of two).
+// power of two). The old cache is dropped first, as in growBuckets.
 func (t *table) setCache(n int) {
+	t.cache = nil
 	t.cache = make([]cacheEnt, n)
 	t.cacheMask = uint32(n - 1)
 }
