@@ -277,8 +277,8 @@ func main() {
 		}
 		fmt.Printf("faults: %d   detectable: %.1f%%   mean detectability (detectable): %.4f   observed==fed rate: %.3f\n",
 			len(study.Records), 100*study.CoverageRate(), study.MeanDetectable(), study.ObservedEqualsFedRate())
-		fmt.Printf("region factoring: %.1f path gates evaluated per fault, %.1f faults per root propagation\n",
-			study.MeanGatesEvaluated(), faultsPerRoot(w, fs))
+		fmt.Printf("post-dominator factoring: %.1f chain steps evaluated per fault, %.1f faults per root propagation\n",
+			study.MeanGatesEvaluated(), faultsPerRoot(e, fs))
 		writeCalibJSON(*calibJSON, c.Name, study.Stats)
 		finishCampaign(study.Stats, study.Errors(), study.DegradedFaults())
 	case "and", "or":
@@ -398,32 +398,31 @@ func setupObs(prog, httpAddr, logLevel string, logJSON bool, tracePath, traceFmt
 	return o
 }
 
-// faultsPerRoot reports how many stuck-at faults share each fanout-free
-// region root: the faults per root propagation of one engine that runs the
-// whole set between compactions. It is computed from the circuit, not
-// from engine counters, so the line stays identical at any worker count
-// (the runtime count is CampaignStats' root-props under -v).
-func faultsPerRoot(w *netlist.Circuit, fs []faults.StuckAt) float64 {
-	fo := w.Fanout()
-	po := make(map[int]bool, len(w.Outputs))
-	for _, o := range w.Outputs {
-		po[o] = true
-	}
-	roots := map[int]bool{}
+// faultsPerRoot reports how many stuck-at faults share each full
+// propagation: the top that ends each fault's chain of immediate
+// post-dominators, as the engine factors it. It is the faults per root
+// propagation of one engine that runs the whole set between compactions,
+// computed from the engine's table rather than its counters, so the line
+// stays identical at any worker count (the runtime count is
+// CampaignStats' root-props under -v).
+func faultsPerRoot(e *diffprop.Engine, fs []faults.StuckAt) float64 {
+	tops := map[int]bool{}
 	for _, f := range fs {
 		net := f.Net
 		if f.IsBranch() {
 			net = f.Gate
 		}
-		for len(fo[net]) == 1 && !po[net] {
-			net = fo[net][0]
+		for e.PostDominator(net) >= 0 {
+			net = e.PostDominator(net)
 		}
-		roots[net] = true
+		if e.PostDominator(net) == -1 {
+			tops[net] = true
+		}
 	}
-	if len(roots) == 0 {
+	if len(tops) == 0 {
 		return 0
 	}
-	return float64(len(fs)) / float64(len(roots))
+	return float64(len(fs)) / float64(len(tops))
 }
 
 // truncateFaults applies -max, warning on stderr when it actually drops

@@ -29,10 +29,10 @@ type StuckAtRecord struct {
 	MaxLevelsToPO int  // paper's Figure 3 X axis
 	LevelFromPI   int  // controllability-side distance
 	IsPOFault     bool
-	// GatesEvaluated counts the binary gates on the fault's path to its
-	// fanout-free region's root whose difference was computed (see
-	// diffprop.Engine.StuckAt); the rest of the circuit is reached through
-	// the root's cached observability.
+	// GatesEvaluated counts the BDD ANDs on the fault's chain of immediate
+	// post-dominators: one per binary single-consumer gate and one per
+	// cached stem transfer (see diffprop.Engine.StuckAt); the rest of the
+	// circuit is reached through the top's cached observability.
 	GatesEvaluated int
 	// Approximate marks a record whose Detectability is a random-vector
 	// estimate over EstimateVectors patterns: the exact analysis blew its
@@ -421,9 +421,9 @@ func (s StuckAtStudy) CoverageRate() float64 {
 	return coverageRate(s.Detectabilities())
 }
 
-// MeanGatesEvaluated reports the average number of path gates whose
-// difference was computed per fault before the fault reached its region's
-// root (or its difference vanished).
+// MeanGatesEvaluated reports the average number of chain steps (binary
+// single-consumer gates and stem transfers) evaluated per fault before the
+// fault reached its top (or its difference vanished).
 func (s StuckAtStudy) MeanGatesEvaluated() float64 {
 	if len(s.Records) == 0 {
 		return 0

@@ -319,7 +319,7 @@ func (in *campaignInstr) finish(stats CampaignStats) {
 		"retried", stats.Retried, "rescued", stats.Rescued,
 		"resumed", stats.Resumed, "skipped", snap.Skipped, "canceled", stats.Canceled,
 		"gates_visited", stats.GatesVisited, "gates_skipped", stats.GatesSkipped,
-		"root_propagations", stats.RootPropagations,
+		"root_propagations", stats.RootPropagations, "transfers", stats.Transfers,
 		"elapsed", stats.Elapsed, "gate_evals", stats.GateEvaluations,
 		"rebuilds", stats.Rebuilds, "nodes_reclaimed", stats.NodesReclaimed,
 		"sifts", stats.Sifts, "peak_nodes", stats.PeakNodes,

@@ -19,9 +19,9 @@ import (
 // add must equal Merge-summing them into a single diffprop.Stats.
 func TestStatsAggregationMerge(t *testing.T) {
 	parts := []diffprop.Stats{
-		{Analyses: 3, GateEvaluations: 100, RootPropagations: 2, Rebuilds: 1, PeakNodes: 500},
-		{Analyses: 5, GateEvaluations: 250, RootPropagations: 4, Rebuilds: 0, PeakNodes: 900},
-		{Analyses: 2, GateEvaluations: 75, RootPropagations: 1, Rebuilds: 4, PeakNodes: 120},
+		{Analyses: 3, GateEvaluations: 100, RootPropagations: 2, Transfers: 6, Rebuilds: 1, PeakNodes: 500},
+		{Analyses: 5, GateEvaluations: 250, RootPropagations: 4, Transfers: 0, Rebuilds: 0, PeakNodes: 900},
+		{Analyses: 2, GateEvaluations: 75, RootPropagations: 1, Transfers: 3, Rebuilds: 4, PeakNodes: 120},
 	}
 	parts[0].Cache.ApplyHits, parts[0].Cache.ApplyMisses = 10, 20
 	parts[1].Cache.IteHits, parts[1].Cache.NotMisses = 7, 3
@@ -37,7 +37,7 @@ func TestStatsAggregationMerge(t *testing.T) {
 	}
 	got := cs.EngineStats()
 	if got.GateEvaluations != want.GateEvaluations || got.RootPropagations != want.RootPropagations ||
-		got.Rebuilds != want.Rebuilds ||
+		got.Transfers != want.Transfers || got.Rebuilds != want.Rebuilds ||
 		got.PeakNodes != want.PeakNodes || got.Cache != want.Cache {
 		t.Fatalf("CampaignStats.add diverged from diffprop.Stats.Merge:\n got %+v\nwant %+v", got, want)
 	}

@@ -144,23 +144,26 @@ type CampaignStats struct {
 	Workers int
 	// Faults is the number of faults analyzed.
 	Faults int
-	// GateEvaluations totals the gates whose difference function was
-	// computed for the faults themselves (for stuck-at faults, the binary
-	// gates on each fault's path to its region root); selective trace
-	// skipped the rest.
+	// GateEvaluations totals the work on the faults' own paths (for
+	// stuck-at faults, the BDD ANDs of each fault's post-dominator chain:
+	// one per binary single-consumer gate and one per transfer step; for
+	// the other models, the gates direct propagation evaluated).
 	GateEvaluations int64
 	// GatesVisited totals the gates every worklist walk examined and
 	// GatesSkipped the gates cone-restricted propagation never touched;
-	// their sum is walks × gate count (one walk per root propagation or
-	// direct-propagation query), and the skipped share is the structural
-	// saving over a full-gate scan.
+	// their sum is walks × gate count (one walk per transfer, root
+	// propagation or direct-propagation query), and the skipped share is
+	// the structural saving over a full-gate scan.
 	GatesVisited int64
 	GatesSkipped int64
-	// RootPropagations totals the fanout-free-region root observabilities
-	// the engines computed for stuck-at faults; the other faults of each
-	// region reused a cached one. Per engine, so it grows with the worker
-	// count and with compactions, unlike the records.
+	// RootPropagations totals the full propagations to the outputs from
+	// top nets (post-dominated only by the virtual sink) the engines
+	// computed for stuck-at faults, and Transfers the post-dominator
+	// transfer fills; every other fault reaching a cached one reused it.
+	// Per engine, so both grow with the worker count and with compactions,
+	// unlike the records.
 	RootPropagations int
+	Transfers        int
 	// Rebuilds counts generational BDD-manager GC passes over all engines.
 	Rebuilds int
 	// NodesReclaimed totals the dead nodes those GC passes dropped.
@@ -218,7 +221,7 @@ func (s CampaignStats) String() string {
 		out += fmt.Sprintf(" cone-skip=%.1f%%", 100*float64(s.GatesSkipped)/float64(total))
 	}
 	if s.RootPropagations > 0 {
-		out += fmt.Sprintf(" root-props=%d", s.RootPropagations)
+		out += fmt.Sprintf(" root-props=%d transfers=%d", s.RootPropagations, s.Transfers)
 	}
 	if s.Resumed > 0 {
 		out += fmt.Sprintf(" resumed=%d", s.Resumed)
@@ -263,6 +266,7 @@ func (s *CampaignStats) EngineStats() diffprop.Stats {
 		GatesVisited:     s.GatesVisited,
 		GatesSkipped:     s.GatesSkipped,
 		RootPropagations: s.RootPropagations,
+		Transfers:        s.Transfers,
 		Rebuilds:         s.Rebuilds,
 		NodesReclaimed:   s.NodesReclaimed,
 		Sifts:            s.Sifts,
@@ -280,6 +284,7 @@ func (s *CampaignStats) add(es diffprop.Stats) {
 	s.GatesVisited = agg.GatesVisited
 	s.GatesSkipped = agg.GatesSkipped
 	s.RootPropagations = agg.RootPropagations
+	s.Transfers = agg.Transfers
 	s.Rebuilds = agg.Rebuilds
 	s.NodesReclaimed = agg.NodesReclaimed
 	s.Sifts = agg.Sifts

@@ -143,18 +143,22 @@ type Engine struct {
 	// for bridging faults.
 	reach *faults.Reachability
 
-	// ffrNext is the fanout-free-region table: for a non-PO net feeding
-	// exactly one gate pin it names that consumer gate, and -1 marks a
-	// region root (a stem, a primary output or an unused net). A single
-	// stuck-at fault leaves its region only through the root, which is what
-	// lets StuckAt factor its test set. Built once in New and aliased by
-	// every Clone.
-	ffrNext []int
+	// ipdom is the immediate post-dominator table: ipdom[n] is the nearest
+	// net every path from n to a primary output passes through, top (-1)
+	// when only the virtual sink behind the outputs does (every primary
+	// output is a top), and noPO (-2) when n reaches no output at all. A
+	// non-output net feeding exactly one gate pin is post-dominated by that
+	// gate; a stem by the net where its reconvergent fan-out closes. A
+	// single stuck-at fault leaves a net only through its post-dominator,
+	// which is what lets StuckAt factor its test set. Built once in New and
+	// aliased by every Clone.
+	ipdom []int
 
-	// rootObs caches, per region root, the observability functions of the
-	// root (see rootObservability). Entries are tagged with the table
+	// props caches, per net, the propagation of a lone inversion of the net
+	// (see propagation): up to its post-dominator for a dominated stem, to
+	// the primary outputs for a top. Entries are tagged with the table
 	// epoch and go stale at the next compaction or recovery.
-	rootObs []rootObs
+	props []netProp
 
 	// coneBuf and deltaBuf are scratch for the worklist propagation: the
 	// merged fan-out-cone bitset of the current fault's seed sites, and the
@@ -213,6 +217,7 @@ type Engine struct {
 	nodesReclaimed int64
 	sifts          int
 	rootProps      int
+	transfers      int
 
 	// gatesVisited/gatesSkipped split each worklist walk: visited gates
 	// entered the propagation loop (the seeds' merged cone); skipped gates
@@ -278,23 +283,30 @@ func (e *Engine) ArmChaosAbort(atOps int64, err error) {
 type Stats struct {
 	// Analyses counts fault queries answered (one per query).
 	Analyses int
-	// GateEvaluations totals the gates whose difference function was
-	// computed for the queried faults themselves: for a stuck-at fault the
-	// binary gates on its path to the region root, for the other fault
-	// models the gates direct propagation evaluated. Root propagations are
-	// not included, so the count is a pure function of the fault set.
+	// GateEvaluations totals the work on the queried faults' own paths.
+	// For a stuck-at fault it is the BDD ANDs of its post-dominator chain:
+	// one per binary single-consumer gate and one per transfer step (see
+	// StuckAt); for the other fault models it is the gates direct
+	// propagation evaluated. Transfer and root fills are not included, so
+	// the count is a pure function of the fault set.
 	GateEvaluations int64
 	// GatesVisited totals the gates the worklist propagation examined and
 	// GatesSkipped the gates it never touched: only the seed sites' merged
 	// fan-out cone is visited, so Visited+Skipped = worklist walks x gate
-	// count (one walk per root propagation or direct-DP query) and Skipped
-	// measures the walk work the cone index saved over a scan of every gate.
+	// count (one walk per transfer, root propagation or direct-DP query)
+	// and Skipped measures the walk work the cone index saved over a scan
+	// of every gate.
 	GatesVisited int64
 	GatesSkipped int64
-	// RootPropagations counts the fanout-free-region root observabilities
-	// computed for stuck-at queries; every other stuck-at fault in the
-	// region reused the cached one.
+	// RootPropagations counts the full propagations to the primary outputs
+	// from top nets (post-dominated only by the virtual sink) computed for
+	// stuck-at queries; every other fault whose chain reaches the same top
+	// reused the cached one.
 	RootPropagations int
+	// Transfers counts the post-dominator transfer fills: propagations of
+	// a stem's lone inversion up to its immediate post-dominator, cached
+	// like root propagations.
+	Transfers int
 	// Rebuilds counts generational GC passes of the BDD manager.
 	Rebuilds int
 	// NodesReclaimed totals the dead nodes those GC passes dropped.
@@ -319,6 +331,7 @@ func (s *Stats) Merge(other Stats) {
 	s.GatesVisited += other.GatesVisited
 	s.GatesSkipped += other.GatesSkipped
 	s.RootPropagations += other.RootPropagations
+	s.Transfers += other.Transfers
 	s.Rebuilds += other.Rebuilds
 	s.NodesReclaimed += other.NodesReclaimed
 	s.Sifts += other.Sifts
@@ -340,6 +353,7 @@ func (e *Engine) Stats() Stats {
 		GatesVisited:     e.gatesVisited,
 		GatesSkipped:     e.gatesSkipped,
 		RootPropagations: e.rootProps,
+		Transfers:        e.transfers,
 		Rebuilds:         e.rebuilds,
 		NodesReclaimed:   e.nodesReclaimed,
 		Sifts:            e.sifts,
@@ -458,27 +472,61 @@ func New(c *netlist.Circuit, opts *Options) (*Engine, error) {
 	// worklist propagation, so it is built eagerly: one reverse-topological
 	// sweep here, aliased by every Clone thereafter.
 	e.reach = faults.NewReachability(work)
-	e.ffrNext = buildFFRNext(work)
+	e.ipdom = buildIPDom(work)
 	e.peakNodes = m.NodeCount()
 	return e, nil
 }
 
-// buildFFRNext computes the fanout-free-region table (see Engine.ffrNext).
-// Fan-out lists hold one entry per consuming pin, so a net read twice by
-// the same gate counts as fan-out 2 and roots its own region.
-func buildFFRNext(c *netlist.Circuit) []int {
-	next := make([]int, c.NumNets())
-	for n, fo := range c.Fanout() {
-		next[n] = -1
-		if len(fo) == 1 {
-			next[n] = fo[0]
-		}
-	}
+// Post-dominator table marks (see Engine.ipdom).
+const (
+	top  = -1
+	noPO = -2
+)
+
+// buildIPDom computes the immediate post-dominator table (see
+// Engine.ipdom) in one reverse-topological sweep. Net ids are topological,
+// so every net's post-dominators have larger ids and are final when the
+// net is reached. Its ipdom is the nearest common post-dominator of its
+// consumers that reach an output, found by walking two candidates up the
+// table, the smaller id first, until they meet or one is the top (Cooper,
+// Harvey and Kennedy's intersection).
+func buildIPDom(c *netlist.Circuit) []int {
+	ipdom := make([]int, c.NumNets())
 	for _, o := range c.Outputs {
-		next[o] = -1
+		ipdom[o] = top
 	}
-	return next
+	fo := c.Fanout()
+	for v := len(ipdom) - 1; v >= 0; v-- {
+		if ipdom[v] == top {
+			continue // a primary output
+		}
+		d := noPO
+		for _, g := range fo[v] {
+			if ipdom[g] == noPO {
+				continue
+			}
+			if d == noPO {
+				d = g
+			}
+			for d != g && d != top {
+				if g == top || d < g {
+					d = ipdom[d]
+				} else {
+					g = ipdom[g]
+				}
+			}
+		}
+		ipdom[v] = d
+	}
+	return ipdom
 }
+
+// PostDominator returns the immediate post-dominator of a net of the
+// working circuit: the nearest net every path from it to a primary output
+// passes through, -1 when only the outputs' virtual sink does, and -2 when
+// the net reaches no output. Nets whose chain of post-dominators ends at
+// -1 share that top's full propagation.
+func (e *Engine) PostDominator(net int) int { return e.ipdom[net] }
 
 // buildVarToInput computes the BDD-variable-position → primary-input-index
 // mapping (-1 for cut variables).
@@ -508,7 +556,7 @@ func buildVarToInput(c *netlist.Circuit, m *bdd.Manager) []int {
 // Cloning reads but never mutates the source, so several clones may be
 // taken concurrently — but not while another goroutine is analyzing faults
 // on the source. The clone keeps the source's rebuild limit. Runtime
-// counters start at zero and the root observability cache starts empty.
+// counters start at zero and the propagation cache starts empty.
 func (e *Engine) Clone() *Engine {
 	m2 := bdd.New(e.m.Names()...)
 	m2.SetMaxCache(e.rebuildLimit / 2)
@@ -523,7 +571,7 @@ func (e *Engine) Clone() *Engine {
 		synValid:     append([]bool(nil), e.synValid...),
 		varToInput:   e.varToInput,
 		reach:        e.reach,
-		ffrNext:      e.ffrNext,
+		ipdom:        e.ipdom,
 		faultBudget:  e.faultBudget,
 		recovery:     e.recovery,
 		lastSiftSize: e.lastSiftSize,
@@ -774,8 +822,8 @@ type Result struct {
 	ObservedPOs []int
 	// GatesEvaluated counts the gates whose difference function was
 	// actually computed for this fault; the rest were skipped by selective
-	// trace (§3). For a stuck-at fault these are the binary gates on its
-	// path to the region root (see StuckAt).
+	// trace (§3). For a stuck-at fault these are the binary gates and
+	// transfer steps on its post-dominator chain (see StuckAt).
 	GatesEvaluated int
 
 	// epoch is the table epoch the refs were built under.
@@ -821,7 +869,7 @@ func (e *Engine) pinDelta(sd seeds, delta []bdd.Ref, id, pin, fanin int) bdd.Ref
 // for which direct propagation of stuckAtSeeds is the test oracle.
 func (e *Engine) propagateSeeds(sd seeds) Result {
 	e.endPhase(&e.lastPhases.Build)
-	res, visited := e.walkSeeds(sd)
+	res, visited := e.walkSeeds(sd, top)
 	return e.finish(res, visited)
 }
 
@@ -837,10 +885,13 @@ func (e *Engine) propagateSeeds(sd seeds) Result {
 // operations are the ones a full scan issues, in the same order. The full
 // scan survives as the test-only reference in worklist_test.go.
 //
-// The result carries the per-PO differences, their union and the
-// selective-trace gate count; visited is the number of gates walked, which
-// is also booked into the engine's walk footprint.
-func (e *Engine) walkSeeds(sd seeds) (res Result, visited int) {
+// A stop net (stop >= 0) ends the walk there: its fan-out cone is dropped
+// from the merged cone, and the result's Complete is the difference that
+// reached stop, with no per-PO differences. Otherwise (stop = top) the
+// result carries the per-PO differences and their union. Either way it
+// carries the selective-trace gate count; visited is the number of gates
+// walked, which is also booked into the engine's walk footprint.
+func (e *Engine) walkSeeds(sd seeds, stop int) (res Result, visited int) {
 	m := e.m
 	c := e.Circuit
 	n := c.NumNets()
@@ -894,6 +945,11 @@ func (e *Engine) walkSeeds(sd seeds) (res Result, visited int) {
 	}
 	for k := range sd.forcePin {
 		mark(k.gate)
+	}
+	if stop >= 0 {
+		for w, row := range e.reach.Row(stop) {
+			cone[w] &^= row
+		}
 	}
 	evaluated := 0
 	for w, wbits := range cone {
@@ -958,6 +1014,11 @@ func (e *Engine) walkSeeds(sd seeds) (res Result, visited int) {
 			}
 		}
 	}
+	e.gatesVisited += int64(visited)
+	e.gatesSkipped += int64(c.NumGates() - visited)
+	if stop >= 0 {
+		return Result{Complete: delta[stop], GatesEvaluated: evaluated}, visited
+	}
 	res = Result{PerPO: make([]bdd.Ref, len(c.Outputs)), Complete: bdd.False, GatesEvaluated: evaluated}
 	for i, o := range c.Outputs {
 		// An unvisited, unseeded net holds the zero Ref, which is
@@ -969,8 +1030,6 @@ func (e *Engine) walkSeeds(sd seeds) (res Result, visited int) {
 			res.Complete = m.Or(res.Complete, d)
 		}
 	}
-	e.gatesVisited += int64(visited)
-	e.gatesSkipped += int64(c.NumGates() - visited)
 	return res, visited
 }
 
@@ -1002,48 +1061,59 @@ func (e *Engine) finish(res Result, walked int) Result {
 	return res
 }
 
-// rootObs is one cached root observability: the difference each primary
-// output sees when the root alone is inverted (perPO), and their union.
-type rootObs struct {
-	epoch uint64
-	perPO []bdd.Ref
-	obs   bdd.Ref
+// netProp is one cached propagation of a net inverted alone: for a top,
+// the difference each primary output sees (perPO) and their union (diff);
+// for a dominated stem, the difference at its post-dominator (diff, with
+// perPO nil).
+type netProp struct {
+	epoch  uint64
+	filled bool
+	perPO  []bdd.Ref
+	diff   bdd.Ref
 }
 
-// rootObservability returns the observability functions of a region root,
-// propagating a constant-true difference from the root through the
-// worklist on a cache miss. Entries are tagged with the table epoch: any
-// compaction, recovery or sift renumbers the nodes and so invalidates
-// them. A fill runs inside
-// the querying fault's budget meter, and one that aborts leaves no entry.
-// Cached refs are not GC roots; they stay valid exactly as long as the
-// epoch does, because nothing is freed between compactions.
-func (e *Engine) rootObservability(root int) (ent *rootObs, walked int) {
-	if e.rootObs == nil {
-		e.rootObs = make([]rootObs, e.Circuit.NumNets())
+// propagation returns the cached propagation of a constant-true difference
+// seeded at net, walking the worklist on a miss: up to the net's immediate
+// post-dominator (the transfer T(net)) when it has one, to the primary
+// outputs when the net is a top. Entries are tagged with the table epoch:
+// any compaction, recovery or sift renumbers the nodes and so invalidates
+// them. A fill runs inside the querying fault's budget meter, and one that
+// aborts leaves no entry. Cached refs are not GC roots; they stay valid
+// exactly as long as the epoch does, because nothing is freed between
+// compactions.
+func (e *Engine) propagation(net int) (ent *netProp, walked int) {
+	if e.props == nil {
+		e.props = make([]netProp, e.Circuit.NumNets())
 	}
-	ent = &e.rootObs[root]
+	ent = &e.props[net]
 	epoch := e.m.TableEpoch()
-	if ent.perPO != nil && ent.epoch == epoch {
+	if ent.filled && ent.epoch == epoch {
 		return ent, 0
 	}
-	res, walked := e.walkSeeds(seeds{net: map[int]bdd.Ref{root: bdd.True}})
-	e.rootProps++
-	*ent = rootObs{epoch: epoch, perPO: res.PerPO, obs: res.Complete}
+	stop := e.ipdom[net]
+	res, walked := e.walkSeeds(seeds{net: map[int]bdd.Ref{net: bdd.True}}, stop)
+	if stop == top {
+		e.rootProps++
+	} else {
+		e.transfers++
+	}
+	*ent = netProp{epoch: epoch, filled: true, perPO: res.PerPO, diff: res.Complete}
 	return ent, walked
 }
 
-// factored answers a single-difference query by fanout-free-region
-// factoring. The difference d enters the circuit at a net (gate < 0) or at
-// one input pin of gate; it is carried along the region's unique path to
-// the root with the single-input Table 1 rules (AND/NAND: d ∧ f_other,
-// OR/NOR: d ∧ ¬f_other, XOR/XNOR/NOT/BUFF: d), giving Δ_root, and the
-// result is Δ_root ∧ Obs(root) at every output. This equals direct
-// propagation exactly: seeding Δ_root at the root yields Δ_root ∧ D_n at
-// every net n, where D_n is what seeding True yields, because Δ∧
-// distributes over ⊕ and Δ∧Δ = Δ in each Table 1 identity. Nothing else
-// in the circuit depends on the region's internal nets, so the root is the
-// fault's only way out.
+// factored answers a single-difference query by post-dominator factoring.
+// The difference d enters the circuit at a net (gate < 0) or at one input
+// pin of gate, and is carried up the net's chain of immediate
+// post-dominators to a top. Through a single-consumer net's gate it takes
+// the one-input Table 1 step (AND/NAND: d ∧ f_other, OR/NOR:
+// d ∧ ¬f_other, XOR/XNOR/NOT/BUFF: d); from a stem to its post-dominator
+// it is ANDed with the cached transfer T(stem). At the top the result is
+// d ∧ Obs(top) at every output. This equals direct propagation exactly:
+// seeding d at a net yields d ∧ D_x at every downstream net x, where D_x
+// is what seeding True yields, because d∧ distributes over ⊕ and d∧d = d
+// in each Table 1 identity; and every path from the net to an output
+// passes its post-dominator, so nothing outside the chain can carry the
+// fault to an output.
 func (e *Engine) factored(d bdd.Ref, net, gate, pin int) Result {
 	m := e.m
 	c := e.Circuit
@@ -1051,31 +1121,40 @@ func (e *Engine) factored(d bdd.Ref, net, gate, pin int) Result {
 	if gate < 0 {
 		gate, pin = e.consumer(net)
 	}
-	for gate >= 0 && d != bdd.False {
-		g := &c.Gates[gate]
-		walked++
-		switch g.Type {
-		case netlist.And, netlist.Nand:
+	for d != bdd.False && (gate >= 0 || e.ipdom[net] >= 0) {
+		if gate < 0 {
+			// A stem: one step to its post-dominator through the transfer.
+			t, fill := e.propagation(net)
+			walked += fill
 			evaluated++
-			d = m.And(e.good[g.Fanin[1-pin]], d)
-		case netlist.Or, netlist.Nor:
-			evaluated++
-			d = m.And(m.Not(e.good[g.Fanin[1-pin]]), d)
-		case netlist.Xor, netlist.Xnor:
-			evaluated++
-		case netlist.Not, netlist.Buff:
-		default:
-			panic(fmt.Sprintf("diffprop: unexpected gate type %v", g.Type))
+			d = m.And(d, t.diff)
+			net = e.ipdom[net]
+		} else {
+			g := &c.Gates[gate]
+			walked++
+			switch g.Type {
+			case netlist.And, netlist.Nand:
+				evaluated++
+				d = m.And(e.good[g.Fanin[1-pin]], d)
+			case netlist.Or, netlist.Nor:
+				evaluated++
+				d = m.And(m.Not(e.good[g.Fanin[1-pin]]), d)
+			case netlist.Xor, netlist.Xnor:
+				evaluated++
+			case netlist.Not, netlist.Buff:
+			default:
+				panic(fmt.Sprintf("diffprop: unexpected gate type %v", g.Type))
+			}
+			net = gate
 		}
-		net = gate
 		gate, pin = e.consumer(net)
 	}
 	e.endPhase(&e.lastPhases.Build)
 	res := Result{PerPO: make([]bdd.Ref, len(c.Outputs)), Complete: bdd.False, GatesEvaluated: evaluated}
-	if d != bdd.False {
-		root, fill := e.rootObservability(net)
+	if d != bdd.False && e.ipdom[net] == top {
+		root, fill := e.propagation(net)
 		walked += fill
-		res.Complete = m.And(d, root.obs)
+		res.Complete = m.And(d, root.diff)
 		for i, o := range root.perPO {
 			if o == bdd.False {
 				continue
@@ -1089,11 +1168,13 @@ func (e *Engine) factored(d bdd.Ref, net, gate, pin int) Result {
 	return e.finish(res, walked)
 }
 
-// consumer returns the sole consumer gate of a net inside a fanout-free
-// region and the pin that reads it, or gate -1 when the net is a root.
+// consumer returns the sole consumer gate of a non-output net that feeds
+// exactly one gate pin, and the pin that reads it; gate -1 when the net is
+// a stem, a primary output or reaches no output. Such a net's consumer is
+// its immediate post-dominator.
 func (e *Engine) consumer(net int) (gate, pin int) {
-	gate = e.ffrNext[net]
-	if gate < 0 {
+	gate = e.ipdom[net]
+	if gate < 0 || e.Circuit.FanoutCount(net) != 1 {
 		return -1, -1
 	}
 	if e.Circuit.Gates[gate].Fanin[0] == net {
@@ -1104,10 +1185,11 @@ func (e *Engine) consumer(net int) (gate, pin int) {
 
 // StuckAt computes the complete test set for a single stuck-at fault
 // (net or fan-out-branch site) in the working circuit. The fault's
-// excitation (f for stuck-at-0, ¬f for stuck-at-1) is carried to its
-// fanout-free region's root and ANDed with the root's cached per-output
-// observability (see factored): one propagation per region serves every
-// fault in it, in both polarities. The result is identical to direct
+// excitation (f for stuck-at-0, ¬f for stuck-at-1) is carried up its
+// post-dominator chain to a top and ANDed with the top's cached per-output
+// observability (see factored): one transfer per stem and one full
+// propagation per top serve every fault whose chain passes them, in both
+// polarities. The result is identical to direct
 // difference propagation of the fault, which the tests check.
 func (e *Engine) StuckAt(f faults.StuckAt) Result {
 	e.begin()
@@ -1271,8 +1353,8 @@ func (e *Engine) bridgingSeeds(b faults.Bridging) seeds {
 //
 //	T(SA0) = f_net ∧ Obs(net),   T(SA1) = ¬f_net ∧ Obs(net).
 //
-// It runs the same region factoring as StuckAt with a constant-true
-// difference, so it shares the engine's cached root observabilities.
+// It runs the same post-dominator factoring as StuckAt with a constant-true
+// difference, so it shares the engine's cached propagations.
 func (e *Engine) Observability(net int) bdd.Ref {
 	e.begin()
 	return e.factored(bdd.True, net, -1, -1).Complete

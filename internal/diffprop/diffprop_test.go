@@ -506,38 +506,49 @@ func checkFactored(e *Engine, f faults.StuckAt) error {
 }
 
 // TestStuckAtMatchesDirectPropagation is the exactness property of the
-// fanout-free-region factoring: for every stuck-at fault on every net and
-// every branch, StuckAt (Δ_root ∧ cached Obs(root)) must equal direct
-// difference propagation bit for bit. It runs two ways: on a default
-// engine, and under a rebuild limit so small that the table is compacted
-// before every fault, so each cached root observability goes stale before
-// its region's next fault. c1355s joins the default way outside -short;
-// the compacting way compacts thousands of times and stays on the smaller
+// post-dominator factoring: for every stuck-at fault on every net and
+// every branch, StuckAt (the excitation carried up the chain of cached
+// transfers and ANDed with the top's cached observability) must equal
+// direct difference propagation bit for bit. It runs two ways: on a
+// default engine, and under a rebuild limit so small that the table is
+// compacted before every fault, so each cached transfer and root
+// observability goes stale before its next use. alu181_xnand, alu181 with
+// every XOR expanded into four NANDs, is the reconvergent topology the
+// transfers target. c1355s joins the default way outside -short; the
+// compacting way compacts thousands of times and stays on the smaller
 // circuits. Under the race detector the sweep stops at c499s: c1355s would
 // add minutes of instrumented BDD work and no new code path.
 func TestStuckAtMatchesDirectPropagation(t *testing.T) {
-	names := []string{"c17", "fadd", "c95s", "alu181", "c432s", "c499s"}
+	names := []string{"c17", "fadd", "c95s", "alu181", "alu181_xnand", "c432s", "c499s"}
 	if !raceEnabled && !testing.Short() {
 		names = append(names, "c1355s")
 	}
 	for _, name := range names {
+		c := exactnessCircuit(name)
 		t.Run(name+"/default", func(t *testing.T) {
-			e := newEngine(t, name)
+			e, err := New(c, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, f := range faults.AllStuckAts(e.Circuit) {
 				if err := checkFactored(e, f); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if s := e.Stats(); s.RootPropagations == 0 || 2*s.RootPropagations >= s.Analyses {
-				t.Fatalf("%d root propagations for %d analyses: regions do not share their root",
+			s := e.Stats()
+			if s.RootPropagations == 0 || 2*s.RootPropagations >= s.Analyses {
+				t.Fatalf("%d root propagations for %d analyses: chains do not share their top",
 					s.RootPropagations, s.Analyses)
+			}
+			if name == "alu181_xnand" && s.Transfers == 0 {
+				t.Fatal("no transfer fills on the expanded XORs")
 			}
 		})
 		if name == "c1355s" {
 			continue
 		}
 		t.Run(name+"/compacting", func(t *testing.T) {
-			e, err := New(circuits.MustGet(name), &Options{RebuildLimit: 1})
+			e, err := New(c, &Options{RebuildLimit: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -552,6 +563,15 @@ func TestStuckAtMatchesDirectPropagation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// exactnessCircuit resolves a catalog name, or a catalog name with an
+// "_xnand" suffix to that circuit with its XORs expanded into NANDs.
+func exactnessCircuit(name string) *netlist.Circuit {
+	if base, ok := strings.CutSuffix(name, "_xnand"); ok {
+		return circuits.MustGet(base).ExpandXOR()
+	}
+	return circuits.MustGet(name)
 }
 
 // TestStaleResultFailsLoudly checks the epoch stamp on results: witness
@@ -598,27 +618,34 @@ func TestStaleResultFailsLoudly(t *testing.T) {
 }
 
 func TestObservabilityProperties(t *testing.T) {
-	e := newEngine(t, "c17")
-	w := e.Circuit
-	m := e.Manager()
-	// A PO net is always observable.
-	for _, o := range w.Outputs {
-		if e.Observability(o) != bdd.True {
-			t.Fatalf("PO %s must be observable everywhere", w.NetName(o))
-		}
-	}
-	// The SA0 and SA1 test sets of a net partition its observability:
-	// T(SA0) ∪ T(SA1) = Obs and T(SA0) ∩ T(SA1) = ∅.
-	for net := 0; net < w.NumNets(); net++ {
-		t0 := e.StuckAt(faults.StuckAt{Net: net, Gate: -1, Pin: -1, Stuck: false}).Complete
-		t1 := e.StuckAt(faults.StuckAt{Net: net, Gate: -1, Pin: -1, Stuck: true}).Complete
-		obs := e.Observability(net)
-		if m.Or(t0, t1) != obs {
-			t.Fatalf("net %s: SA0 ∪ SA1 tests != observability", w.NetName(net))
-		}
-		if m.And(t0, t1) != bdd.False {
-			t.Fatalf("net %s: SA0 and SA1 tests overlap", w.NetName(net))
-		}
+	for _, name := range []string{"c17", "c432s", "alu181_xnand"} {
+		t.Run(name, func(t *testing.T) {
+			e, err := New(exactnessCircuit(name), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := e.Circuit
+			m := e.Manager()
+			// A PO net is always observable.
+			for _, o := range w.Outputs {
+				if e.Observability(o) != bdd.True {
+					t.Fatalf("PO %s must be observable everywhere", w.NetName(o))
+				}
+			}
+			// The SA0 and SA1 test sets of a net partition its observability:
+			// T(SA0) ∪ T(SA1) = Obs and T(SA0) ∩ T(SA1) = ∅.
+			for net := 0; net < w.NumNets(); net++ {
+				t0 := e.StuckAt(faults.StuckAt{Net: net, Gate: -1, Pin: -1, Stuck: false}).Complete
+				t1 := e.StuckAt(faults.StuckAt{Net: net, Gate: -1, Pin: -1, Stuck: true}).Complete
+				obs := e.Observability(net)
+				if m.Or(t0, t1) != obs {
+					t.Fatalf("net %s: SA0 ∪ SA1 tests != observability", w.NetName(net))
+				}
+				if m.And(t0, t1) != bdd.False {
+					t.Fatalf("net %s: SA0 and SA1 tests overlap", w.NetName(net))
+				}
+			}
+		})
 	}
 }
 

@@ -232,11 +232,12 @@ func TestRetryRungRescuesBlownFault(t *testing.T) {
 	if s := scalars(got); !reflect.DeepEqual(s, want) {
 		t.Fatalf("rescued result %+v != reference %+v", s, want)
 	}
-	// The original tight budget is back in force: a fault whose region
-	// root is not cached yet must abort again.
+	// The original tight budget is back in force: a fault whose chain ends
+	// at another top reaches only uncached propagations (chains to
+	// different tops are disjoint), so it must abort again.
 	var other faults.StuckAt
 	for _, f := range fs[1:] {
-		if regionRoot(e, f) != regionRoot(e, fs[0]) {
+		if chainTop(e, f) != chainTop(e, fs[0]) {
 			other = f
 			break
 		}
@@ -246,15 +247,15 @@ func TestRetryRungRescuesBlownFault(t *testing.T) {
 	}
 }
 
-// regionRoot follows a stuck-at fault's fanout-free path to the root of
-// its region.
-func regionRoot(e *Engine, f faults.StuckAt) int {
+// chainTop follows a stuck-at fault's chain of immediate post-dominators
+// from its site to the top that ends it.
+func chainTop(e *Engine, f faults.StuckAt) int {
 	net := f.Net
 	if f.IsBranch() {
 		net = f.Gate
 	}
-	for e.ffrNext[net] >= 0 {
-		net = e.ffrNext[net]
+	for e.ipdom[net] >= 0 {
+		net = e.ipdom[net]
 	}
 	return net
 }
