@@ -3,9 +3,11 @@ package analysis
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/circuits"
@@ -66,6 +68,30 @@ func TestParallelStatsEqualSumOfEngines(t *testing.T) {
 	}
 	if study.Stats.PeakNodes == 0 || study.Stats.Workers != 4 {
 		t.Fatalf("engine counters not aggregated: %+v", study.Stats)
+	}
+}
+
+// TestBridgingCampaignFactored checks that bridging campaigns run through
+// the post-dominator chain: one engine query per bridge, served by cached
+// top observabilities that the counters report.
+func TestBridgingCampaignFactored(t *testing.T) {
+	c := circuits.MustGet("c432s")
+	e, err := diffprop.New(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, pop, sampled := BridgingSet(e.Circuit, faults.WiredAND, 300, 0.3, 7)
+	RunBridging(e, set, faults.WiredAND, pop, sampled)
+	if s := e.Stats(); s.Analyses != len(set) || s.RootPropagations == 0 {
+		t.Fatalf("serial engine: %d analyses, %d root propagations for %d bridges", s.Analyses, s.RootPropagations, len(set))
+	}
+	study, err := RunBridgingCampaign(c, nil, set, faults.WiredAND, pop, sampled, CampaignConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := study.Stats; s.Faults != len(set) || s.RootPropagations == 0 ||
+		!strings.Contains(s.String(), fmt.Sprintf("root-props=%d transfers=%d", s.RootPropagations, s.Transfers)) {
+		t.Fatalf("serial campaign over %d bridges: %v", len(set), s)
 	}
 }
 

@@ -144,10 +144,10 @@ type CampaignStats struct {
 	Workers int
 	// Faults is the number of faults analyzed.
 	Faults int
-	// GateEvaluations totals the work on the faults' own paths (for
-	// stuck-at faults, the BDD ANDs of each fault's post-dominator chain:
-	// one per binary single-consumer gate and one per transfer step; for
-	// the other models, the gates direct propagation evaluated).
+	// GateEvaluations totals the work on the faults' own paths: the BDD
+	// ANDs of each fault's post-dominator chains, one per binary
+	// single-consumer gate and one per transfer step, summed over a
+	// bridge's two wires.
 	GateEvaluations int64
 	// GatesVisited totals the gates every worklist walk examined and
 	// GatesSkipped the gates cone-restricted propagation never touched;
@@ -158,8 +158,9 @@ type CampaignStats struct {
 	GatesSkipped int64
 	// RootPropagations totals the full propagations to the outputs from
 	// top nets (post-dominated only by the virtual sink) the engines
-	// computed for stuck-at faults, and Transfers the post-dominator
-	// transfer fills; every other fault reaching a cached one reused it.
+	// computed for stuck-at and bridging faults, and Transfers the
+	// post-dominator transfer fills; every other fault reaching a cached
+	// one reused it.
 	// Per engine, so both grow with the worker count and with compactions,
 	// unlike the records.
 	RootPropagations int

@@ -284,9 +284,10 @@ type Stats struct {
 	// Analyses counts fault queries answered (one per query).
 	Analyses int
 	// GateEvaluations totals the work on the queried faults' own paths.
-	// For a stuck-at fault it is the BDD ANDs of its post-dominator chain:
-	// one per binary single-consumer gate and one per transfer step (see
-	// StuckAt); for the other fault models it is the gates direct
+	// For a stuck-at, bridging or gate-substitution fault it is the BDD
+	// ANDs of its post-dominator chains: one per binary single-consumer
+	// gate and one per transfer step (see StuckAt), summed over a bridge's
+	// two wires; for a multiple stuck-at fault it is the gates direct
 	// propagation evaluated. Transfer and root fills are not included, so
 	// the count is a pure function of the fault set.
 	GateEvaluations int64
@@ -300,8 +301,8 @@ type Stats struct {
 	GatesSkipped int64
 	// RootPropagations counts the full propagations to the primary outputs
 	// from top nets (post-dominated only by the virtual sink) computed for
-	// stuck-at queries; every other fault whose chain reaches the same top
-	// reused the cached one.
+	// factored queries; every other chain that reaches the same top reused
+	// the cached one.
 	RootPropagations int
 	// Transfers counts the post-dominator transfer fills: propagations of
 	// a stem's lone inversion up to its immediate post-dominator, cached
@@ -822,8 +823,9 @@ type Result struct {
 	ObservedPOs []int
 	// GatesEvaluated counts the gates whose difference function was
 	// actually computed for this fault; the rest were skipped by selective
-	// trace (§3). For a stuck-at fault these are the binary gates and
-	// transfer steps on its post-dominator chain (see StuckAt).
+	// trace (§3). For a stuck-at or gate-substitution fault these are the
+	// binary gates and transfer steps on its post-dominator chain (see
+	// StuckAt), for a bridging fault the sum over both wires' chains.
 	GatesEvaluated int
 
 	// epoch is the table epoch the refs were built under.
@@ -840,10 +842,10 @@ type pinKey struct {
 }
 
 // seeds carries everything a propagation can start from: explicit initial
-// difference functions at nets (bridging and gate substitution faults, root
-// observabilities) and forced constants (multiple stuck-at faults, where a
-// downstream forced site must override whatever difference arrives from
-// upstream faults).
+// difference functions at nets (the lone inversions behind transfers and
+// root observabilities) and forced constants (multiple stuck-at faults,
+// where a downstream forced site must override whatever difference
+// arrives from upstream faults).
 type seeds struct {
 	net      map[int]bdd.Ref
 	forceNet map[int]bool
@@ -864,9 +866,10 @@ func (e *Engine) pinDelta(sd seeds, delta []bdd.Ref, id, pin, fanin int) bdd.Ref
 
 // propagateSeeds answers one fault query by direct difference propagation:
 // the seeds are walked to the primary outputs (walkSeeds) and the complete
-// test set is counted. Bridging, multiple stuck-at and gate substitution
-// faults run here; single stuck-at faults take the factored StuckAt path,
-// for which direct propagation of stuckAtSeeds is the test oracle.
+// test set is counted. Only multiple stuck-at faults run here, because a
+// downstream forced site can mask an upstream one; every single-difference
+// fault model takes the factored post-dominator chain, for which direct
+// propagation of its own seeds is the test oracle.
 func (e *Engine) propagateSeeds(sd seeds) Result {
 	e.endPhase(&e.lastPhases.Build)
 	res, visited := e.walkSeeds(sd, top)
@@ -1026,7 +1029,6 @@ func (e *Engine) walkSeeds(sd seeds, stop int) (res Result, visited int) {
 		d := delta[o]
 		res.PerPO[i] = d
 		if d != bdd.False {
-			res.ObservedPOs = append(res.ObservedPOs, i)
 			res.Complete = m.Or(res.Complete, d)
 		}
 	}
@@ -1043,11 +1045,16 @@ func (e *Engine) endPhase(d *time.Duration) {
 	}
 }
 
-// finish closes a fault query: it counts the complete test set, books the
-// query's counters and stamps the result with the table epoch its refs
-// belong to. walked is the number of gates the query walked (the cone-size
-// sample behind LastConeGates).
+// finish closes a fault query: it lists the observed outputs, counts the
+// complete test set, books the query's counters and stamps the result with
+// the table epoch its refs belong to. walked is the number of gates the
+// query walked (the cone-size sample behind LastConeGates).
 func (e *Engine) finish(res Result, walked int) Result {
+	for i, d := range res.PerPO {
+		if d != bdd.False {
+			res.ObservedPOs = append(res.ObservedPOs, i)
+		}
+	}
 	e.endPhase(&e.lastPhases.Propagate)
 	res.Detectability = e.m.SatFrac(res.Complete)
 	e.endPhase(&e.lastPhases.SatCount)
@@ -1101,20 +1108,31 @@ func (e *Engine) propagation(net int) (ent *netProp, walked int) {
 	return ent, walked
 }
 
-// factored answers a single-difference query by post-dominator factoring.
-// The difference d enters the circuit at a net (gate < 0) or at one input
-// pin of gate, and is carried up the net's chain of immediate
-// post-dominators to a top. Through a single-consumer net's gate it takes
-// the one-input Table 1 step (AND/NAND: d ∧ f_other, OR/NOR:
-// d ∧ ¬f_other, XOR/XNOR/NOT/BUFF: d); from a stem to its post-dominator
-// it is ANDed with the cached transfer T(stem). At the top the result is
-// d ∧ Obs(top) at every output. This equals direct propagation exactly:
-// seeding d at a net yields d ∧ D_x at every downstream net x, where D_x
-// is what seeding True yields, because d∧ distributes over ⊕ and d∧d = d
-// in each Table 1 identity; and every path from the net to an output
-// passes its post-dominator, so nothing outside the chain can carry the
-// fault to an output.
+// factored answers a single-difference query by post-dominator factoring:
+// one climb (see climb) from the difference d, entering at a net (gate < 0)
+// or at one input pin of gate, then the top step (see observe).
 func (e *Engine) factored(d bdd.Ref, net, gate, pin int) Result {
+	d, net, evaluated, walked := e.climb(d, net, gate, pin)
+	e.endPhase(&e.lastPhases.Build)
+	res := Result{PerPO: make([]bdd.Ref, len(e.Circuit.Outputs)), GatesEvaluated: evaluated}
+	walked += e.observe(&res, d, net)
+	return e.finish(res, walked)
+}
+
+// climb carries the difference d, entering at a net (gate < 0) or at one
+// input pin of gate, up the net's chain of immediate post-dominators to a
+// top. Through a single-consumer net's gate it takes the one-input Table 1
+// step (AND/NAND: d ∧ f_other, OR/NOR: d ∧ ¬f_other, XOR/XNOR/NOT/BUFF:
+// d); from a stem to its post-dominator it is ANDed with the cached
+// transfer T(stem). It returns the difference that reached the end of the
+// chain (bdd.False once it dies), the net the chain ended at, the chain
+// steps evaluated and the gates walked, fills included. This equals direct
+// propagation exactly: seeding d at a net yields d ∧ D_x at every
+// downstream net x, where D_x is what seeding True yields, because d∧
+// distributes over ⊕ and d∧d = d in each Table 1 identity; and every path
+// from the net to an output passes its post-dominator, so nothing outside
+// the chain can carry the fault to an output.
+func (e *Engine) climb(d bdd.Ref, net, gate, pin int) (bdd.Ref, int, int, int) {
 	m := e.m
 	c := e.Circuit
 	evaluated, walked := 0, 0
@@ -1149,23 +1167,36 @@ func (e *Engine) factored(d bdd.Ref, net, gate, pin int) Result {
 		}
 		gate, pin = e.consumer(net)
 	}
-	e.endPhase(&e.lastPhases.Build)
-	res := Result{PerPO: make([]bdd.Ref, len(c.Outputs)), Complete: bdd.False, GatesEvaluated: evaluated}
-	if d != bdd.False && e.ipdom[net] == top {
-		root, fill := e.propagation(net)
-		walked += fill
-		res.Complete = m.And(d, root.diff)
-		for i, o := range root.perPO {
-			if o == bdd.False {
-				continue
-			}
-			if p := m.And(d, o); p != bdd.False {
-				res.PerPO[i] = p
-				res.ObservedPOs = append(res.ObservedPOs, i)
-			}
+	return d, net, evaluated, walked
+}
+
+// observe is the top step of a climb that ended at net with difference d:
+// when net is a top it ORs d ∧ Obs_o(net), the top's cached observability
+// at each output o, into res.PerPO[o], and d ∧ Obs(net) into res.Complete.
+// A chain whose difference died, or that reaches no output, adds nothing.
+// It returns the gates a root fill walked.
+func (e *Engine) observe(res *Result, d bdd.Ref, net int) (walked int) {
+	if d == bdd.False || e.ipdom[net] != top {
+		return 0
+	}
+	m := e.m
+	root, walked := e.propagation(net)
+	res.Complete = e.or(res.Complete, m.And(d, root.diff))
+	for i, o := range root.perPO {
+		if o != bdd.False {
+			res.PerPO[i] = e.or(res.PerPO[i], m.And(d, o))
 		}
 	}
-	return e.finish(res, walked)
+	return walked
+}
+
+// or returns a ∨ b, short of the manager (and its op charge) while a is
+// still bdd.False, so a single chain's top step issues only its ANDs.
+func (e *Engine) or(a, b bdd.Ref) bdd.Ref {
+	if a == bdd.False {
+		return b
+	}
+	return e.m.Or(a, b)
 }
 
 // consumer returns the sole consumer gate of a non-output net that feeds
@@ -1259,17 +1290,18 @@ func (e *Engine) multipleStuckAtSeeds(fs []faults.StuckAt) seeds {
 
 // GateSubstitution computes the complete test set of a gate replacement
 // fault: the gate driving the net computes wrongType instead of its own
-// function, over the same fan-ins. The difference seed is simply
-// f_gate ⊕ wrongType(f_fanins), demonstrating the paper's conclusion that
-// Difference Propagation addresses "more logical fault models than just
-// the single stuck-at fault".
+// function, over the same fan-ins. The fault changes one net, the gate's
+// output, by f_gate ⊕ wrongType(f_fanins), so that difference takes the
+// same post-dominator chain as a stuck-at fault's excitation (see
+// factored) — the paper's conclusion that Difference Propagation addresses
+// "more logical fault models than just the single stuck-at fault".
 func (e *Engine) GateSubstitution(gate int, wrongType netlist.GateType) Result {
-	return e.propagateSeeds(e.gateSubstitutionSeeds(gate, wrongType))
+	return e.factored(e.gateSubstitutionDelta(gate, wrongType), gate, -1, -1)
 }
 
-// gateSubstitutionSeeds opens the analysis and builds the substituted
-// gate's difference seed.
-func (e *Engine) gateSubstitutionSeeds(gate int, wrongType netlist.GateType) seeds {
+// gateSubstitutionDelta opens the analysis and builds the substituted
+// gate's difference at its output.
+func (e *Engine) gateSubstitutionDelta(gate int, wrongType netlist.GateType) bdd.Ref {
 	e.begin()
 	g := e.Circuit.Gates[gate]
 	if g.Type == netlist.Input {
@@ -1301,8 +1333,7 @@ func (e *Engine) gateSubstitutionSeeds(gate int, wrongType netlist.GateType) see
 	default:
 		panic(fmt.Sprintf("diffprop: cannot substitute gate type %v", wrongType))
 	}
-	d := m.Xor(e.good[gate], wrong)
-	return seeds{net: map[int]bdd.Ref{gate: d}}
+	return m.Xor(e.good[gate], wrong)
 }
 
 // FeedbackChecker returns the engine's fan-out reachability table (built
@@ -1318,31 +1349,38 @@ func (e *Engine) FeedbackChecker() *faults.Reachability {
 }
 
 // Bridging computes the complete test set for a two-wire non-feedback
-// bridging fault. The difference seeds follow directly from the wired
+// bridging fault. The wire differences follow directly from the wired
 // functions: for a wired-AND bridge F_u = F_v = f_u∧f_v, so
-// Δ_u = f_u·¬f_v and Δ_v = f_v·¬f_u; dually for wired-OR.
+// Δ_u = f_u·¬f_v and Δ_v = f_v·¬f_u; dually for wired-OR. The two are
+// disjoint (Δ_u ∧ Δ_v = 0), and neither wire lies in the other's fan-out
+// cone, so on a vector in Δ_u only u flips and v keeps its good value.
+// The bridge is therefore two single-site faults on disjoint vector sets:
+// PerPO[o] = (Δ_u ∧ Obs_o(u)) ∨ (Δ_v ∧ Obs_o(v)), and each wire's
+// difference climbs its own post-dominator chain (see climb) before
+// both top steps are ORed into one result.
 func (e *Engine) Bridging(b faults.Bridging) Result {
-	return e.propagateSeeds(e.bridgingSeeds(b))
+	du, dv := e.bridgingDeltas(b)
+	du, u, stepsU, walkedU := e.climb(du, b.U, -1, -1)
+	dv, v, stepsV, walkedV := e.climb(dv, b.V, -1, -1)
+	e.endPhase(&e.lastPhases.Build)
+	res := Result{PerPO: make([]bdd.Ref, len(e.Circuit.Outputs)), GatesEvaluated: stepsU + stepsV}
+	walked := walkedU + walkedV + e.observe(&res, du, u) + e.observe(&res, dv, v)
+	return e.finish(res, walked)
 }
 
-// bridgingSeeds rejects feedback bridges, then opens the analysis and
-// builds both wires' difference seeds.
-func (e *Engine) bridgingSeeds(b faults.Bridging) seeds {
+// bridgingDeltas rejects feedback bridges, then opens the analysis and
+// builds both wires' differences.
+func (e *Engine) bridgingDeltas(b faults.Bridging) (du, dv bdd.Ref) {
 	if e.FeedbackChecker().IsFeedback(b.U, b.V) {
 		panic(fmt.Sprintf("diffprop: %v is a feedback bridge", b))
 	}
 	e.begin()
 	m := e.m
 	fu, fv := e.good[b.U], e.good[b.V]
-	var du, dv bdd.Ref
 	if b.Kind == faults.WiredAND {
-		du = m.And(fu, m.Not(fv))
-		dv = m.And(fv, m.Not(fu))
-	} else {
-		du = m.And(m.Not(fu), fv)
-		dv = m.And(m.Not(fv), fu)
+		return m.And(fu, m.Not(fv)), m.And(fv, m.Not(fu))
 	}
-	return seeds{net: map[int]bdd.Ref{b.U: du, b.V: dv}}
+	return m.And(m.Not(fu), fv), m.And(m.Not(fv), fu)
 }
 
 // Observability computes the exact observability function of a net: the

@@ -482,27 +482,52 @@ func TestMinimalTestCube(t *testing.T) {
 	}
 }
 
-// checkFactored runs one fault both ways on e — the factored StuckAt and
-// direct propagation of the fault's own seed — and reports any difference
-// in detectability, observed outputs or per-PO difference functions. The
-// reference runs with compaction held off so both queries land in the
-// same table epoch and their refs are comparable; StuckAt itself still
-// compacts on entry whenever the engine's limit says so.
-func checkFactored(e *Engine, f faults.StuckAt) error {
-	got := e.StuckAt(f)
+// checkDirect runs one fault both ways on e — the production factored
+// query and direct propagation of the fault's own seeds — and reports any
+// difference in detectability, observed outputs or per-PO difference
+// functions. The reference runs with compaction held off so both queries
+// land in the same table epoch and their refs are comparable; the factored
+// query itself still compacts on entry whenever the engine's limit says so.
+func checkDirect(e *Engine, label string, factored, direct func() Result) error {
+	got := factored()
 	limit := e.rebuildLimit
 	e.rebuildLimit = math.MaxInt
-	want := e.directStuckAt(f)
+	want := direct()
 	e.rebuildLimit = limit
 	if got.epoch != want.epoch {
-		return fmt.Errorf("%s: queries straddle a compaction (epochs %d, %d)", f.Describe(e.Circuit), got.epoch, want.epoch)
+		return fmt.Errorf("%s: queries straddle a compaction (epochs %d, %d)", label, got.epoch, want.epoch)
 	}
 	if got.Detectability != want.Detectability || got.Complete != want.Complete ||
 		!reflect.DeepEqual(got.ObservedPOs, want.ObservedPOs) || !reflect.DeepEqual(got.PerPO, want.PerPO) {
-		return fmt.Errorf("%s: factored %v (observed %v) != direct %v (observed %v)", f.Describe(e.Circuit),
+		return fmt.Errorf("%s: factored %v (observed %v) != direct %v (observed %v)", label,
 			got.Detectability, got.ObservedPOs, want.Detectability, want.ObservedPOs)
 	}
 	return nil
+}
+
+// checkFactored is checkDirect for a stuck-at fault.
+func checkFactored(e *Engine, f faults.StuckAt) error {
+	return checkDirect(e, f.Describe(e.Circuit),
+		func() Result { return e.StuckAt(f) }, func() Result { return e.directStuckAt(f) })
+}
+
+// checkBridging is checkDirect for a bridging fault.
+func checkBridging(e *Engine, b faults.Bridging) error {
+	return checkDirect(e, b.Describe(e.Circuit),
+		func() Result { return e.Bridging(b) }, func() Result { return e.directBridging(b) })
+}
+
+// stride returns at most n elements of xs, evenly spaced from the first:
+// a deterministic sample that spans the whole (net-ordered) population.
+func stride[T any](xs []T, n int) []T {
+	if len(xs) <= n {
+		return xs
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = xs[i*len(xs)/n]
+	}
+	return out
 }
 
 // TestStuckAtMatchesDirectPropagation is the exactness property of the
@@ -560,6 +585,114 @@ func TestStuckAtMatchesDirectPropagation(t *testing.T) {
 			}
 			if e.Rebuilds() < len(fs) {
 				t.Fatalf("%d compactions for %d faults: the limit did not force one per fault", e.Rebuilds(), len(fs))
+			}
+		})
+	}
+}
+
+// TestBridgingMatchesDirectPropagation is the exactness property of
+// factored bridging: a non-feedback bridge's two wire differences are
+// disjoint, so Bridging climbs each wire's post-dominator chain alone and
+// ORs the two top steps, and that must equal direct propagation of both
+// seeds jointly, bit for bit, for wired-AND and wired-OR. The default way
+// runs the complete NFBF populations of the small circuits and a stride
+// sample of the larger ones; the compacting way compacts before every
+// bridge, so every cached transfer and observability goes stale between
+// uses. Under the race detector the sweep stops at c95s.
+func TestBridgingMatchesDirectPropagation(t *testing.T) {
+	names := []string{"c17", "fadd", "c95s", "alu181", "alu181_xnand", "c432s"}
+	if raceEnabled {
+		names = names[:3]
+	}
+	kinds := []faults.BridgeKind{faults.WiredAND, faults.WiredOR}
+	for _, name := range names {
+		c := exactnessCircuit(name)
+		t.Run(name+"/default", func(t *testing.T) {
+			e, err := New(c, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for _, kind := range kinds {
+				all := faults.AllNFBFs(e.Circuit, kind)
+				if name == "alu181_xnand" || name == "c432s" {
+					all = stride(all, 2000)
+				}
+				for _, b := range all {
+					if err := checkBridging(e, b); err != nil {
+						t.Fatal(err)
+					}
+				}
+				n += len(all)
+			}
+			s := e.Stats()
+			if s.RootPropagations == 0 || 2*s.RootPropagations >= n {
+				t.Fatalf("%d root propagations for %d bridges: chains do not share their top", s.RootPropagations, n)
+			}
+			if name == "alu181_xnand" && s.Transfers == 0 {
+				t.Fatal("no transfer fills on the expanded XORs")
+			}
+		})
+		t.Run(name+"/compacting", func(t *testing.T) {
+			e, err := New(c, &Options{RebuildLimit: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for _, kind := range kinds {
+				for _, b := range stride(faults.AllNFBFs(e.Circuit, kind), 250) {
+					if err := checkBridging(e, b); err != nil {
+						t.Fatal(err)
+					}
+					n++
+				}
+			}
+			if e.Rebuilds() < n {
+				t.Fatalf("%d compactions for %d bridges: the limit did not force one per bridge", e.Rebuilds(), n)
+			}
+		})
+	}
+}
+
+// TestBridgingLargeCircuitCrossCheck carries the bridging exactness check
+// to the large paper circuits, where exhaustive simulation is out of
+// reach: on a stride sample of c1355s's and c1908s's NFBFs of both kinds,
+// factored Bridging must equal direct propagation bit for bit, and every
+// detectable bridge's witness vector must detect it in the 64-way
+// bit-parallel simulator. Direct propagation runs a few bridges per second
+// on c1908s, so the sample stays small, and the check is skipped under
+// -short and the race detector.
+func TestBridgingLargeCircuitCrossCheck(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("large-circuit direct propagation: skipped under -short and -race")
+	}
+	for _, name := range []string{"c1355s", "c1908s"} {
+		t.Run(name, func(t *testing.T) {
+			e := newEngine(t, name)
+			w := e.Circuit
+			detected := 0
+			for _, kind := range []faults.BridgeKind{faults.WiredAND, faults.WiredOR} {
+				for _, b := range stride(faults.AllNFBFs(w, kind), 10) {
+					if err := checkBridging(e, b); err != nil {
+						t.Fatal(err)
+					}
+					res := e.Bridging(b)
+					vec := e.WitnessVector(res)
+					if vec == nil {
+						if res.Detectable() {
+							t.Fatalf("%s: detectable bridge without witness", b.Describe(w))
+						}
+						continue
+					}
+					pv := simulate.FromVectors(len(w.Inputs), [][]bool{vec})
+					if simulate.CountBits(simulate.DetectBridging(w, b, pv)) != 1 {
+						t.Fatalf("%s: witness does not detect the bridge", b.Describe(w))
+					}
+					detected++
+				}
+			}
+			if detected == 0 {
+				t.Fatal("no detectable bridge in the sample: the witness check ran on nothing")
 			}
 		})
 	}

@@ -109,6 +109,39 @@ func TestGateSubstitutionExactness(t *testing.T) {
 	}
 }
 
+// TestGateSubstitutionMatchesDirectPropagation is the exactness property
+// of factored gate substitution: the fault changes only the gate's output
+// net, so GateSubstitution carries that one difference up the output's
+// post-dominator chain, and every substitution must equal direct
+// propagation of the same seed bit for bit. alu181_xnand and c432s
+// exercise transfers and several tops; under the race detector the sweep
+// stops at c95s.
+func TestGateSubstitutionMatchesDirectPropagation(t *testing.T) {
+	names := []string{"c17", "c95s", "alu181", "alu181_xnand", "c432s"}
+	if raceEnabled {
+		names = names[:2]
+	}
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			e, err := New(exactnessCircuit(name), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range faults.AllGateSubs(e.Circuit) {
+				err := checkDirect(e, s.Describe(e.Circuit),
+					func() Result { return e.GateSubstitution(s.Gate, s.WrongType) },
+					func() Result { return e.propagateSeeds(e.gateSubstitutionSeeds(s.Gate, s.WrongType)) })
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if e.Stats().RootPropagations == 0 {
+				t.Fatal("no substitution reached a top's cached observability")
+			}
+		})
+	}
+}
+
 func TestGateSubstitutionKnownCases(t *testing.T) {
 	// z = AND(a, b) replaced by OR: differs exactly where a != b, so the
 	// detectability is 1/2. Replaced by NAND: differs everywhere... on the

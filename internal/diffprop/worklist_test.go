@@ -159,6 +159,26 @@ func (e *Engine) directStuckAt(f faults.StuckAt) Result {
 	return e.propagateSeeds(e.stuckAtSeeds(f))
 }
 
+// bridgingSeeds opens the analysis and seeds both wires of a bridging
+// fault with their differences, for direct propagation — the reference
+// the factored Bridging is checked against.
+func (e *Engine) bridgingSeeds(b faults.Bridging) seeds {
+	du, dv := e.bridgingDeltas(b)
+	return seeds{net: map[int]bdd.Ref{b.U: du, b.V: dv}}
+}
+
+// directBridging answers a bridging query by direct difference propagation
+// of both wires' seeds jointly through the production worklist.
+func (e *Engine) directBridging(b faults.Bridging) Result {
+	return e.propagateSeeds(e.bridgingSeeds(b))
+}
+
+// gateSubstitutionSeeds opens the analysis and seeds the substituted
+// gate's output with its difference, for direct propagation.
+func (e *Engine) gateSubstitutionSeeds(gate int, wrongType netlist.GateType) seeds {
+	return seeds{net: map[int]bdd.Ref{gate: e.gateSubstitutionDelta(gate, wrongType)}}
+}
+
 // pair builds two independent engines over the same circuit: one for the
 // cone-restricted worklist, one for the full-gate-scan reference. Both
 // start from identical cold managers, so as long as the two paths issue
